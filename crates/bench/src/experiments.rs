@@ -113,7 +113,6 @@ pub fn run_session(
                 prefetch: variation.prefetch_sigma.is_some(),
                 regions_in_memory: variation.regions_in_memory.unwrap_or(4),
                 defer_swaps: false,
-                parallel: true,
                 ..UeiConfig::default()
             };
             let mut rng = Rng::new(config.seed ^ 0xBACC);

@@ -14,51 +14,12 @@
 //!
 //! The `experiments` binary (`cargo run -p uei-bench --release --bin
 //! experiments -- all`) drives them and writes machine-readable results
-//! next to human-readable tables. Criterion micro-benchmarks live under
-//! `benches/`.
+//! next to human-readable tables. What an exploration iteration costs,
+//! end to end and layer by layer, is measured by the standalone
+//! `benchmark/` package, not here.
 
 pub mod experiments;
-pub mod fault_matrix;
 pub mod fixture;
-pub mod kdtree;
-pub mod multi_session;
-pub mod obs;
-pub mod recovery;
-pub mod region_load;
-pub mod rescore;
-pub mod scoring;
-pub mod shard;
 
 pub use experiments::*;
-pub use fault_matrix::{
-    full_fault_matrix_report, run_fault_matrix_bench, smoke_fault_matrix_report,
-    validate_fault_matrix, FaultMatrixCase, FaultMatrixConfig, FaultMatrixReport,
-};
 pub use fixture::{ExperimentScale, Fixture};
-pub use kdtree::{
-    full_kdtree_report, run_kdtree_bench, smoke_kdtree_report, validate_kdtree, KdtreeCase,
-    KdtreeReport,
-};
-pub use multi_session::{
-    full_multi_session_report, run_multi_session_bench, smoke_multi_session_report,
-    validate_multi_session, MultiSessionCase, MultiSessionConfig, MultiSessionReport,
-};
-pub use obs::{
-    full_obs_report, run_obs_bench, smoke_obs_report, validate_obs, ObsConfig, ObsReport,
-};
-pub use recovery::{
-    full_recovery_report, run_recovery_bench, smoke_recovery_report, validate_recovery,
-    RecoveryConfig, RecoveryReport,
-};
-pub use region_load::{
-    full_region_load_report, run_region_load_bench, smoke_region_load_report, RegionLoadCase,
-    RegionLoadConfig, RegionLoadReport,
-};
-pub use rescore::{
-    full_rescore_report, run_rescore_bench, smoke_rescore_report, validate_rescore, RescoreCase,
-    RescoreReport,
-};
-pub use scoring::{full_report, run_scoring_bench, smoke_report, ScoringCase, ScoringReport};
-pub use shard::{
-    full_shard_report, run_shard_bench, smoke_shard_report, validate_shard, ShardCase, ShardReport,
-};

@@ -49,11 +49,10 @@ const GOLDEN: &[&str] = &[
     "23:24:1:4",
 ];
 
-/// Runs the pinned fixed-seed session with the given index-plane shard
-/// count and returns its `iteration:labels:label_positive:region_rows`
-/// fingerprint.
-fn run_pinned_session(tag: &str, shards: usize) -> Vec<String> {
-    let dir = TempDir::new(&format!("golden-trace-{tag}"));
+/// Runs the pinned fixed-seed session and returns its
+/// `iteration:labels:label_positive:region_rows` fingerprint.
+fn run_pinned_session() -> Vec<String> {
+    let dir = TempDir::new("golden-trace");
     let rows = generate_sdss_like(&SynthConfig { rows: 4000, ..Default::default() });
     let mut rng = Rng::new(13);
     let target = generate_target_region_fraction(&rows, &Schema::sdss(), 0.02, &mut rng).unwrap();
@@ -71,7 +70,7 @@ fn run_pinned_session(tag: &str, shards: usize) -> Vec<String> {
     let mut backend_rng = Rng::new(1);
     let mut backend = UeiBackend::new(
         Arc::new(store),
-        UeiConfig { cells_per_dim: 3, shards, ..UeiConfig::default() },
+        UeiConfig { cells_per_dim: 3, ..UeiConfig::default() },
         UncertaintyMeasure::LeastConfidence,
         300,
         &mut backend_rng,
@@ -102,15 +101,6 @@ fn run_pinned_session(tag: &str, shards: usize) -> Vec<String> {
 
 #[test]
 fn fixed_seed_session_trace_is_pinned() {
-    let fingerprint = run_pinned_session("auto", 0);
+    let fingerprint = run_pinned_session();
     assert_eq!(fingerprint, GOLDEN, "fixed-seed session diverged from the pinned pre-change trace");
-}
-
-/// The same pinned trace must survive an explicit shard count: splitting
-/// the index plane into four shards changes only who computes each score
-/// and how the top-θ ranking is merged, never the selection itself.
-#[test]
-fn four_shard_session_reproduces_the_pinned_trace() {
-    let fingerprint = run_pinned_session("sharded", 4);
-    assert_eq!(fingerprint, GOLDEN, "four-shard session diverged from the pinned trace");
 }

@@ -258,7 +258,7 @@ fn shared_cache_byte_accounting_stays_exact_under_concurrency() {
     let engine = build_engine(dir.path(), &rows);
     run_sessions_concurrently(&engine, &oracle, &specs()).unwrap();
 
-    let cache = engine.shared_cache().expect("engine built with shared cache");
+    let cache = engine.shared_cache();
     // Recompute the exact expected occupancy from the resident chunks: the
     // cache's internal ledger must equal the sum of its residents' sizes
     // and respect the budget, even after four threads filled and evicted
@@ -280,4 +280,27 @@ fn shared_cache_byte_accounting_stays_exact_under_concurrency() {
     assert!(cache.used_bytes() <= cache.budget_bytes(), "budget overrun");
     let agg = engine.cache_stats();
     assert!(agg.hits + agg.misses > 0, "cache saw traffic");
+}
+
+/// Sharing pays: the engine-wide hit ratio after four sessions over one
+/// cache is at least what a single session reaches alone. Run sequentially
+/// so the aggregate counters are deterministic.
+#[test]
+fn sharing_the_cache_across_sessions_never_lowers_the_hit_ratio() {
+    let rows = generate_sdss_like(&SynthConfig { rows: 3000, ..Default::default() });
+    let mut rng = Rng::new(17);
+    let target = generate_target_region_fraction(&rows, &Schema::sdss(), 0.02, &mut rng).unwrap();
+    let oracle = Oracle::new(target);
+
+    let hit_ratio = |tag: &str, specs: &[SessionSpec]| {
+        let dir = uei_storage::TempDir::new(tag);
+        let engine = build_engine(dir.path(), &rows);
+        let results = run_sessions(&engine, &oracle, specs).unwrap();
+        assert!(results.iter().all(|r| !r.traces.is_empty()), "every session iterated");
+        engine.cache_stats().hit_ratio()
+    };
+    let one = hit_ratio("ms-ratio-1", &specs()[..1]);
+    let four = hit_ratio("ms-ratio-4", &specs());
+    assert!(one > 0.0, "a lone session already re-reads chunks");
+    assert!(four >= one, "4-session hit ratio {four:.4} fell below 1-session {one:.4}");
 }

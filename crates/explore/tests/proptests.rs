@@ -119,12 +119,39 @@ mod incremental_vs_full {
     use uei_learn::committee::Committee;
     use uei_learn::dataset::LabeledSet;
     use uei_learn::strategy::UncertaintyMeasure;
-    use uei_learn::{Classifier, EstimatorKind};
+    use uei_learn::{Classifier, EstimatorKind, ScoredBatch};
     use uei_storage::io::{DiskTracker, IoProfile};
     use uei_storage::store::{ColumnStore, StoreConfig};
     use uei_types::Label;
 
     const ITERATIONS: usize = 32;
+
+    /// Scores exactly like the wrapped model — radii and training length
+    /// included — but leaves `model_delta*` at the trait's conservative
+    /// default, `ModelDelta::Global`, so the index takes its production
+    /// full-rescore fallback on every pass: the from-scratch reference.
+    struct ForceGlobal<'a>(&'a dyn Classifier);
+
+    impl Classifier for ForceGlobal<'_> {
+        fn predict_proba(&self, x: &[f64]) -> f64 {
+            self.0.predict_proba(x)
+        }
+        fn predict_proba_batch(&self, xs: &[&[f64]]) -> Vec<f64> {
+            self.0.predict_proba_batch(xs)
+        }
+        fn predict_proba_batch_tracked(&self, xs: &[&[f64]]) -> ScoredBatch {
+            self.0.predict_proba_batch_tracked(xs)
+        }
+        fn training_len(&self) -> Option<usize> {
+            self.0.training_len()
+        }
+        fn parallel_batch_threshold(&self) -> usize {
+            self.0.parallel_batch_threshold()
+        }
+        fn dims(&self) -> usize {
+            self.0.dims()
+        }
+    }
 
     fn teacher(p: &DataPoint) -> Label {
         // Arbitrary but consistent: ra < 180 is positive — splits SDSS-like
@@ -182,23 +209,19 @@ mod incremental_vs_full {
         );
 
         for (name, prunes, train) in &trainers() {
-            let mk_backend = |incremental: bool| {
+            let mk_backend = || {
                 let mut rng = Rng::new(seed ^ 0xA5);
                 UeiBackend::new(
                     store.clone(),
-                    UeiConfig {
-                        cells_per_dim: 3,
-                        incremental_rescore: incremental,
-                        ..UeiConfig::default()
-                    },
+                    UeiConfig { cells_per_dim: 3, ..UeiConfig::default() },
                     UncertaintyMeasure::LeastConfidence,
                     250,
                     &mut rng,
                 )
                 .unwrap()
             };
-            let mut inc = mk_backend(true);
-            let mut full = mk_backend(false);
+            let mut inc = mk_backend();
+            let mut full = mk_backend();
 
             // Teacher-labeled bootstrap: the first three rows of each class.
             let mut labeled = LabeledSet::new();
@@ -228,7 +251,7 @@ mod incremental_vs_full {
                     .unwrap()
                     .expect("incremental pool non-empty");
                 let (pb, ib) = full
-                    .select_next(model.as_ref(), &labeled)
+                    .select_next(&ForceGlobal(model.as_ref()), &labeled)
                     .unwrap()
                     .expect("full pool non-empty");
                 prop_assert_eq!(
@@ -245,10 +268,17 @@ mod incremental_vs_full {
                     name,
                     it
                 );
+                // Every index point is either rescored or served from the
+                // cache, every iteration — never more than |P| rescored.
+                let plane = inc.index().points().len() as u64;
+                for counters in [&ia.counters, &ib.counters] {
+                    prop_assert!(counters.points_rescored <= plane);
+                    prop_assert_eq!(counters.points_rescored + counters.points_cached, plane);
+                }
                 prop_assert_eq!(
                     ib.counters.points_cached,
                     0,
-                    "{}: full mode must never serve cached scores",
+                    "{}: the global-delta reference must never serve cached scores",
                     name
                 );
                 let label = teacher(&pa);
@@ -279,122 +309,6 @@ proptest! {
     #[test]
     fn incremental_rescoring_selects_identical_cells_for_every_estimator(seed in 0u64..1_000) {
         incremental_vs_full::check(seed)?;
-    }
-}
-
-/// The sharded index plane promises that the shard count is invisible to
-/// exploration: partitioning the grid cells changes *where* scores live
-/// and *who* rescored them, never which cell ranks first or which example
-/// is selected. For every estimator kind, a fixed-seed session must
-/// produce bit-identical [`IterationTrace`] sequences at 1, 2, and 8
-/// shards — every field except wall-clock time (noise) and
-/// `shards_touched` (inherently shard-count-dependent: a full pass touches
-/// all shards, however many there are).
-///
-/// [`IterationTrace`]: uei_explore::session::IterationTrace
-mod shard_invariance {
-    use super::*;
-    use proptest::TestCaseError;
-    use std::sync::Arc;
-    use uei_explore::backend::UeiBackend;
-    use uei_explore::oracle::Oracle;
-    use uei_explore::session::{ExplorationSession, IterationTrace, SessionConfig};
-    use uei_index::config::UeiConfig;
-    use uei_learn::strategy::UncertaintyMeasure;
-    use uei_learn::EstimatorKind;
-    use uei_storage::io::{DiskTracker, IoProfile};
-    use uei_storage::store::{ColumnStore, StoreConfig};
-
-    const ESTIMATORS: &[(&str, EstimatorKind)] = &[
-        ("dwknn", EstimatorKind::Dwknn { k: 3 }),
-        ("knn", EstimatorKind::Knn { k: 3 }),
-        ("naive-bayes", EstimatorKind::NaiveBayes),
-        ("linear-svm", EstimatorKind::LinearSvm { epochs: 30, lambda: 0.01 }),
-    ];
-
-    /// The trace minus the two fields that legitimately vary, serialized
-    /// so the comparison covers every remaining bit.
-    fn canon(t: &IterationTrace) -> String {
-        let mut t = t.clone();
-        t.response_wall_ms = 0.0;
-        t.counters.shards_touched = 0;
-        serde_json::to_string(&t).expect("traces serialize")
-    }
-
-    pub(super) fn check(seed: u64) -> Result<(), TestCaseError> {
-        let rows = generate_sdss_like(&SynthConfig { rows: 2000, seed, ..Default::default() });
-        let mut rng = Rng::new(seed ^ 0x51);
-        let target =
-            generate_target_region_fraction(&rows, &Schema::sdss(), 0.02, &mut rng).unwrap();
-        let oracle = Oracle::new(target);
-
-        for (name, estimator) in ESTIMATORS {
-            let run = |shards: usize| -> Vec<IterationTrace> {
-                let dir = std::env::temp_dir().join(format!(
-                    "uei-prop-shard-{seed}-{name}-{shards}-{}-{:?}",
-                    std::process::id(),
-                    std::thread::current().id()
-                ));
-                let _ = std::fs::remove_dir_all(&dir);
-                let tracker = DiskTracker::new(IoProfile::instant());
-                let store = Arc::new(
-                    ColumnStore::create(
-                        &dir,
-                        Schema::sdss(),
-                        &rows,
-                        StoreConfig { chunk_target_bytes: 8192 },
-                        tracker.clone(),
-                    )
-                    .unwrap(),
-                );
-                let mut rng = Rng::new(seed ^ 0x52);
-                let mut backend = UeiBackend::new(
-                    store,
-                    UeiConfig { cells_per_dim: 3, shards, ..UeiConfig::default() },
-                    UncertaintyMeasure::LeastConfidence,
-                    250,
-                    &mut rng,
-                )
-                .unwrap();
-                let config = SessionConfig {
-                    estimator: *estimator,
-                    max_labels: 12,
-                    bootstrap_size: 150,
-                    eval_sample: 200,
-                    ..SessionConfig::default()
-                };
-                let result =
-                    ExplorationSession::new(&mut backend, &oracle, config, tracker).run().unwrap();
-                std::fs::remove_dir_all(&dir).ok();
-                result.traces
-            };
-
-            let reference = run(1);
-            prop_assert!(!reference.is_empty(), "{name}: session recorded no iterations");
-            let reference: Vec<String> = reference.iter().map(canon).collect();
-            for shards in [2usize, 8] {
-                let sharded: Vec<String> = run(shards).iter().map(canon).collect();
-                prop_assert_eq!(
-                    &reference,
-                    &sharded,
-                    "{}: traces diverged between 1 and {} shards",
-                    name,
-                    shards
-                );
-            }
-        }
-        Ok(())
-    }
-}
-
-proptest! {
-    // Four estimators x three shard counts with real storage per case:
-    // keep the case count minimal.
-    #![proptest_config(ProptestConfig::with_cases(2))]
-
-    #[test]
-    fn traces_are_bit_identical_at_any_shard_count(seed in 0u64..1_000) {
-        shard_invariance::check(seed)?;
     }
 }
 

@@ -22,26 +22,6 @@ pub struct UeiConfig {
     /// the merge) corresponds to a small budget; a larger budget lets
     /// chunks shared between adjacent cells stay resident.
     pub chunk_cache_bytes: usize,
-    /// Lock stripes of the shared chunk cache. Each shard owns an
-    /// independent LRU and `chunk_cache_bytes / cache_shards` of the
-    /// budget, so foreground and prefetcher threads touching different
-    /// chunks rarely contend. Ignored when [`UeiConfig::shared_cache`] is
-    /// off.
-    pub cache_shards: usize,
-    /// Share one concurrent chunk cache between the foreground loader and
-    /// the background prefetcher. A prefetched region's chunks are then
-    /// already decoded and resident when the foreground swaps to it, so
-    /// the swap performs zero foreground chunk reads. Off reverts to the
-    /// pre-sharing layout: a private foreground LRU and an uncached
-    /// chunk-at-a-time prefetcher.
-    pub shared_cache: bool,
-    /// Reconstruct each region incrementally against the previously loaded
-    /// one: chunks both regions share are reused decoded (zero I/O, zero
-    /// CPU), only the chunk-ID delta is fetched. Consecutive uncertain
-    /// regions overlap heavily — the boundary moves slowly, the same
-    /// premise the σ/θ prefetch machinery rests on (§3.2) — so this is the
-    /// common case, and results are bit-identical either way.
-    pub delta_reconstruction: bool,
     /// Response-latency threshold σ between iterations, in seconds
     /// (Table 1: 500 ms). Drives the prefetch horizon θ = ⌈τ/σ⌉.
     pub latency_threshold_secs: f64,
@@ -61,13 +41,6 @@ pub struct UeiConfig {
     /// between the current in-memory uncertain region g*_i and the next
     /// uncertain region g*_{i+1}", §3.2). Off by default.
     pub defer_swaps: bool,
-    /// Whether index-point rescoring uses the batch scoring path
-    /// (multi-core fan-out plus per-worker traversal scratch). Batches
-    /// below [`uei_learn::batch::PARALLEL_THRESHOLD`] stay sequential
-    /// either way, and results are bit-identical in both modes, so this
-    /// knob exists for benchmarking and for pinning down scheduler
-    /// interference — not for correctness.
-    pub parallel: bool,
     /// Retry policy for foreground region loads: transient storage errors
     /// are retried up to `max_attempts` with exponential backoff charged to
     /// the virtual clock. Corruption is never retried — a corrupt chunk
@@ -80,39 +53,11 @@ pub struct UeiConfig {
     /// taken only when every better-ranked cell failed with a storage
     /// fault.
     pub fallback_candidates: usize,
-    /// Incremental index-point rescoring: consult the model's
-    /// [`uei_learn::ModelDelta`] each iteration and rescore only the index
-    /// points whose score may have changed (for kNN-family models, those
-    /// inside the influence balls of the newly labeled examples), keeping
-    /// every other cached score verbatim. Scores — and therefore region
-    /// selection — are bit-identical to a full rescore; the win is skipped
-    /// work. Models with global updates (NB, SVM, committees) fall back to
-    /// full rescoring automatically. Requires `parallel` (the batch path);
-    /// ignored when `parallel` is off.
-    pub incremental_rescore: bool,
-    /// Safety margin on the kNN influence radii used for incremental
-    /// rescoring: each radius is inflated by `(1 + rescore_margin)` before
-    /// the dirty test. Any non-negative margin preserves soundness (it can
-    /// only mark *more* points dirty); the default 0 is already exact.
-    pub rescore_margin: f64,
-    /// Force a full (tracked) rescore after this many consecutive
-    /// incremental passes — a belt-and-braces staleness bound for long
-    /// sessions. Must be ≥ 1; 1 disables incremental reuse entirely.
-    pub full_rescore_every: usize,
     /// Durability knobs for sessions that attach a write-ahead journal:
     /// fsync policy for record appends, segment rotation size, and the
     /// snapshot cadence in iterations (DESIGN.md §13). Sessions without a
     /// journal directory ignore this entirely.
     pub journal: JournalConfig,
-    /// Number of contiguous cell-range shards the index-point plane is
-    /// partitioned into (DESIGN.md §14). Each shard owns its slice of the
-    /// score/radius arrays, its own dirty set, and its own cached top-θ
-    /// candidate list; rescoring fans out across shards and selection is a
-    /// deterministic k-way merge of the per-shard lists, so scores and
-    /// selection are **bit-identical at every shard count**. `0` (the
-    /// default) sizes the shard count automatically from the cell count;
-    /// explicit values are clamped to `[1, num_cells]`.
-    pub shards: usize,
     /// Telemetry gate (DESIGN.md §15): phase spans, the metrics registry,
     /// and the per-session flight recorder. Off by default; modeled
     /// counters and traces are bit-identical either way — telemetry only
@@ -125,21 +70,13 @@ impl Default for UeiConfig {
         UeiConfig {
             cells_per_dim: 5,
             chunk_cache_bytes: 64 << 20,
-            cache_shards: uei_storage::DEFAULT_CACHE_SHARDS,
-            shared_cache: true,
-            delta_reconstruction: true,
             latency_threshold_secs: 0.5,
             prefetch: false,
             regions_in_memory: 1,
             defer_swaps: false,
-            parallel: true,
             retry: RetryPolicy::default(),
             fallback_candidates: 4,
-            incremental_rescore: true,
-            rescore_margin: 0.0,
-            full_rescore_every: 50,
             journal: JournalConfig::default(),
-            shards: 0,
             telemetry: TelemetryConfig::default(),
         }
     }
@@ -171,23 +108,8 @@ impl UeiConfig {
         if self.regions_in_memory == 0 {
             return Err(UeiError::invalid_config("regions_in_memory must be >= 1"));
         }
-        if self.cache_shards == 0 {
-            return Err(UeiError::invalid_config("cache_shards must be >= 1"));
-        }
         if self.fallback_candidates == 0 {
             return Err(UeiError::invalid_config("fallback_candidates must be >= 1"));
-        }
-        if !(self.rescore_margin >= 0.0) || !self.rescore_margin.is_finite() {
-            return Err(UeiError::invalid_config("rescore_margin must be finite and >= 0"));
-        }
-        if self.full_rescore_every == 0 {
-            return Err(UeiError::invalid_config("full_rescore_every must be >= 1"));
-        }
-        if self.shards > crate::shard::MAX_SHARDS {
-            return Err(UeiError::invalid_config(format!(
-                "shards must be <= {} (0 = auto)",
-                crate::shard::MAX_SHARDS
-            )));
         }
         self.retry.validate()?;
         self.journal.validate()?;
@@ -214,6 +136,30 @@ mod tests {
         c.validate(5).unwrap();
     }
 
+    /// The whole configuration surface, destructured without `..`: adding
+    /// a field fails to compile here until this list names it.
+    #[test]
+    fn config_surface_is_exactly_ten_fields() {
+        let UeiConfig {
+            cells_per_dim,
+            chunk_cache_bytes,
+            latency_threshold_secs,
+            prefetch,
+            regions_in_memory,
+            defer_swaps,
+            retry,
+            fallback_candidates,
+            journal,
+            telemetry,
+        } = UeiConfig::default();
+        assert_eq!((cells_per_dim, chunk_cache_bytes), (5, 64 << 20));
+        assert_eq!(latency_threshold_secs, 0.5);
+        assert!(!prefetch && !defer_swaps && !telemetry.enabled);
+        assert_eq!((regions_in_memory, fallback_candidates), (1, 4));
+        assert_eq!(retry, RetryPolicy::default());
+        journal.validate().unwrap();
+    }
+
     #[test]
     fn rejects_degenerate_configs() {
         let c = UeiConfig { cells_per_dim: 0, ..UeiConfig::default() };
@@ -225,22 +171,7 @@ mod tests {
         let c = UeiConfig { regions_in_memory: 0, ..UeiConfig::default() };
         assert!(c.validate(5).is_err());
 
-        let c = UeiConfig { cache_shards: 0, ..UeiConfig::default() };
-        assert!(c.validate(5).is_err());
-
         let c = UeiConfig { fallback_candidates: 0, ..UeiConfig::default() };
-        assert!(c.validate(5).is_err());
-
-        let c = UeiConfig { rescore_margin: -0.1, ..UeiConfig::default() };
-        assert!(c.validate(5).is_err());
-
-        let c = UeiConfig { rescore_margin: f64::NAN, ..UeiConfig::default() };
-        assert!(c.validate(5).is_err());
-
-        let c = UeiConfig { rescore_margin: f64::INFINITY, ..UeiConfig::default() };
-        assert!(c.validate(5).is_err());
-
-        let c = UeiConfig { full_rescore_every: 0, ..UeiConfig::default() };
         assert!(c.validate(5).is_err());
 
         let c = UeiConfig {
@@ -268,17 +199,6 @@ mod tests {
         assert!(c.validate(5).is_err());
 
         assert!(UeiConfig::default().validate(0).is_err());
-    }
-
-    #[test]
-    fn shard_knob_defaults_to_auto_and_rejects_absurd_counts() {
-        let c = UeiConfig::default();
-        assert_eq!(c.shards, 0, "0 = auto-sized from the cell count");
-        c.validate(5).unwrap();
-        let c = UeiConfig { shards: 8, ..UeiConfig::default() };
-        c.validate(5).unwrap();
-        let c = UeiConfig { shards: crate::shard::MAX_SHARDS + 1, ..UeiConfig::default() };
-        assert!(c.validate(5).is_err());
     }
 
     #[test]

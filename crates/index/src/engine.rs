@@ -63,10 +63,8 @@ pub struct EngineCore {
     /// halves inside — cell centers and shard layout — are `Arc`-shared,
     /// so a clone copies only per-session score state.
     points_template: IndexPoints,
-    /// The engine-wide decoded-chunk cache (None when
-    /// [`UeiConfig::shared_cache`] is off — sessions then keep private
-    /// caches and share only the immutable store).
-    cache: Option<Arc<SharedChunkCache>>,
+    /// The engine-wide decoded-chunk cache.
+    cache: Arc<SharedChunkCache>,
     config: UeiConfig,
     measure: UncertaintyMeasure,
     sessions_opened: AtomicU64,
@@ -106,11 +104,9 @@ impl EngineCore {
         config.validate(store.schema().dims())?;
         let grid = Arc::new(Grid::new(store.schema(), config.cells_per_dim)?);
         let mapping = Arc::new(ChunkMapping::build(&grid, store.manifest())?);
-        let points_template = IndexPoints::from_grid_with_shards(&grid, config.shards)?;
+        let points_template = IndexPoints::from_grid(&grid)?;
         let physical: Arc<dyn ChunkSource> = Arc::clone(&store) as Arc<dyn ChunkSource>;
-        let cache = config.shared_cache.then(|| {
-            Arc::new(SharedChunkCache::new(config.chunk_cache_bytes, config.cache_shards))
-        });
+        let cache = Arc::new(SharedChunkCache::with_default_shards(config.chunk_cache_bytes));
         let telemetry = Arc::new(EngineTelemetry::new(config.telemetry));
         Ok(EngineCore {
             store,
@@ -137,22 +133,14 @@ impl EngineCore {
         let profile = self.store.tracker().profile();
         let session_store = Arc::new(self.store.with_tracker(DiskTracker::new(profile)));
         let source: Arc<dyn ChunkSource> = Arc::clone(&session_store) as Arc<dyn ChunkSource>;
-        let mut loader = match &self.cache {
-            Some(cache) => RegionLoader::with_session_view(
-                Arc::clone(&source),
-                SessionChunkView::new(
-                    Arc::clone(cache),
-                    Arc::clone(&self.physical),
-                    self.config.chunk_cache_bytes,
-                ),
-                self.config.delta_reconstruction,
+        let mut loader = RegionLoader::with_session_view(
+            source,
+            SessionChunkView::new(
+                Arc::clone(&self.cache),
+                Arc::clone(&self.physical),
+                self.config.chunk_cache_bytes,
             ),
-            None => {
-                let mut l = RegionLoader::new(Arc::clone(&source), self.config.chunk_cache_bytes);
-                l.set_delta(self.config.delta_reconstruction);
-                l
-            }
-        };
+        );
         loader.set_retry_policy(self.config.retry);
         let prefetcher = if self.config.prefetch {
             // The prefetcher's background I/O gets its own tracker so it
@@ -160,11 +148,11 @@ impl EngineCore {
             let bg: Arc<dyn ChunkSource> =
                 Arc::new(self.store.with_tracker(DiskTracker::new(profile)))
                     as Arc<dyn ChunkSource>;
-            Some(Prefetcher::spawn_with_source(
+            Some(Prefetcher::spawn(
                 bg,
                 Arc::clone(&self.grid),
                 Arc::clone(&self.mapping),
-                self.cache.as_ref().map(Arc::clone),
+                Arc::clone(&self.cache),
             )?)
         } else {
             None
@@ -181,9 +169,6 @@ impl EngineCore {
             self.points_template.clone(),
             loader,
             prefetcher,
-            // Sessions report their own ghost-ledger cache stats; the
-            // engine-wide aggregate stays on `EngineCore::cache_stats`.
-            None,
             self.config.clone(),
             self.measure,
             telemetry,
@@ -215,15 +200,16 @@ impl EngineCore {
         self.measure
     }
 
-    /// The engine-wide decoded-chunk cache, when sharing is enabled.
-    pub fn shared_cache(&self) -> Option<&Arc<SharedChunkCache>> {
-        self.cache.as_ref()
+    /// The engine-wide decoded-chunk cache.
+    pub fn shared_cache(&self) -> &Arc<SharedChunkCache> {
+        &self.cache
     }
 
     /// Aggregate statistics of the engine-wide chunk cache across all
-    /// sessions (zeros when sharing is off).
+    /// sessions. (A session's own [`UeiIndex::cache_stats`] reports its
+    /// deterministic ghost ledger instead.)
     pub fn cache_stats(&self) -> CacheStats {
-        self.cache.as_ref().map(|c| c.stats()).unwrap_or_default()
+        self.cache.stats()
     }
 
     /// The engine I/O ledger: every physical read that filled the shared
@@ -248,66 +234,35 @@ impl EngineCore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use uei_storage::io::IoProfile;
-    use uei_storage::store::StoreConfig;
-    use uei_storage::TempDir;
-    use uei_types::{AttributeDef, DataPoint, Rng, Schema};
-
-    fn build_store(tag: &str, n: usize) -> (Arc<ColumnStore>, TempDir) {
-        let dir = TempDir::new(&format!("engine-{tag}"));
-        let schema = Schema::new(vec![
-            AttributeDef::new("x", 0.0, 100.0).unwrap(),
-            AttributeDef::new("y", 0.0, 100.0).unwrap(),
-        ])
-        .unwrap();
-        let mut rng = Rng::new(11);
-        let rows: Vec<DataPoint> = (0..n)
-            .map(|i| {
-                DataPoint::new(i as u64, vec![rng.range_f64(0.0, 100.0), rng.range_f64(0.0, 100.0)])
-            })
-            .collect();
-        let tracker = DiskTracker::new(IoProfile::nvme());
-        let store = ColumnStore::create(
-            dir.path(),
-            schema,
-            &rows,
-            StoreConfig { chunk_target_bytes: 512 },
-            tracker,
-        )
-        .unwrap();
-        (Arc::new(store), dir)
-    }
+    use crate::testutil::build_store;
 
     fn test_config() -> UeiConfig {
         UeiConfig {
             cells_per_dim: 3,
             chunk_cache_bytes: 1 << 20,
             prefetch: false,
-            parallel: false,
             ..UeiConfig::default()
         }
     }
 
     #[test]
     fn rejects_degenerate_config_at_construction() {
-        let (store, _dir) = build_store("validate", 64);
+        let (store, _, _dir) = build_store("validate", 64);
         let cfg = UeiConfig { cells_per_dim: 0, ..test_config() };
         assert!(EngineCore::new(store, cfg).is_err());
     }
 
     #[test]
     fn sessions_share_store_and_cache_but_not_clocks() {
-        let (store, _dir) = build_store("share", 256);
+        let (store, _, _dir) = build_store("share", 256);
         let engine = EngineCore::new(Arc::clone(&store), test_config()).unwrap();
         let mut a = engine.open_session().unwrap();
         let mut b = engine.open_session().unwrap();
         assert_eq!(engine.sessions_opened(), 2);
 
         // Both sessions resolve the same shared cache instance.
-        let ca = Arc::as_ptr(a.shared_cache().unwrap());
-        let cb = Arc::as_ptr(b.shared_cache().unwrap());
-        assert_eq!(ca, cb, "sessions must share one cache");
-        assert_eq!(ca, Arc::as_ptr(engine.shared_cache().unwrap()));
+        assert!(Arc::ptr_eq(a.shared_cache(), b.shared_cache()), "sessions must share one cache");
+        assert!(Arc::ptr_eq(a.shared_cache(), engine.shared_cache()));
 
         // Both share the manifest (no store copies), but have distinct
         // trackers: loading in one session leaves the other's clock at 0.
@@ -339,7 +294,7 @@ mod tests {
     fn session_traces_match_standalone_index() {
         // A session over a shared engine must behave exactly like a
         // standalone index built over its own store handle.
-        let (store, _dir) = build_store("parity", 256);
+        let (store, _, _dir) = build_store("parity", 256);
         let engine = EngineCore::new(Arc::clone(&store), test_config()).unwrap();
         let mut session = engine.open_session().unwrap();
 

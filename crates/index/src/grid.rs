@@ -123,15 +123,16 @@ impl Grid {
         Region::new(lo, hi)
     }
 
+    /// The midpoint of slice `coord` along dimension `dim` — one
+    /// coordinate of every symbolic index point in that slice.
+    pub fn slice_center(&self, dim: usize, coord: usize) -> f64 {
+        self.lo[dim] + (coord as f64 + 0.5) * self.cell_width(dim)
+    }
+
     /// The symbolic index point of a cell — the center of `g_i`.
     pub fn cell_center(&self, id: CellId) -> Result<Vec<f64>> {
         let coords = self.id_to_coords(id)?;
-        Ok((0..self.dims)
-            .map(|d| {
-                let w = self.cell_width(d);
-                self.lo[d] + (coords[d] as f64 + 0.5) * w
-            })
-            .collect())
+        Ok((0..self.dims).map(|d| self.slice_center(d, coords[d])).collect())
     }
 
     /// The cell containing a point; coordinates are clamped into the data

@@ -10,12 +10,9 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use uei_obs::{FlightEventKind, Phase, SessionTelemetry};
-use uei_storage::cache::{CacheStats, ChunkCache, SessionChunkView, SharedChunkCache};
+use uei_storage::cache::{CacheStats, SessionChunkView, SharedChunkCache};
 use uei_storage::fault::RetryPolicy;
-use uei_storage::merge::{
-    reconstruct_region_delta, reconstruct_region_with_chunks, ChunkFetch, MergeStats,
-    RegionChunkSet,
-};
+use uei_storage::merge::{reconstruct_region, MergeStats, RegionChunkSet};
 use uei_storage::source::ChunkSource;
 use uei_types::stats::Welford;
 use uei_types::{DataPoint, Result};
@@ -39,13 +36,12 @@ pub struct LoadStats {
     pub retries: u64,
 }
 
-/// The cache behind a [`RegionLoader`]: a private single-owner LRU, a
-/// handle to the concurrent cache shared with the prefetcher, or a
-/// per-session view over an engine's shared cache (deterministic ghost
-/// accounting).
+/// What a [`RegionLoader`] fetches chunks through: a handle to the
+/// concurrent cache shared with the prefetcher (standalone index: misses
+/// read through, and bill, the loader's own source), or a per-session view
+/// over an engine's shared cache (deterministic ghost accounting).
 #[derive(Debug)]
 enum LoaderCache {
-    Local(ChunkCache),
     Shared(Arc<SharedChunkCache>),
     Session(SessionChunkView),
 }
@@ -54,9 +50,8 @@ enum LoaderCache {
 pub struct RegionLoader {
     source: Arc<dyn ChunkSource>,
     cache: LoaderCache,
-    /// Reuse decoded chunks of the previously loaded region (delta
-    /// reconstruction) instead of refetching the overlap.
-    delta: bool,
+    /// Decoded chunks of the previously loaded region: the overlap with
+    /// the next region is reused from here instead of refetched.
     prev: Option<RegionChunkSet>,
     load_times: Welford,
     /// Exponentially weighted τ: what the horizon θ = ⌈τ/σ⌉ actually uses,
@@ -74,7 +69,6 @@ impl std::fmt::Debug for RegionLoader {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("RegionLoader")
             .field("cache", &self.cache)
-            .field("delta", &self.delta)
             .field("loads", &self.load_times.count())
             .field("retry", &self.retry)
             .finish_non_exhaustive()
@@ -82,55 +76,24 @@ impl std::fmt::Debug for RegionLoader {
 }
 
 impl RegionLoader {
-    /// Creates a loader with a private chunk cache of the given byte
-    /// budget and delta reconstruction off — the original layout.
-    pub fn new(source: Arc<dyn ChunkSource>, cache_bytes: usize) -> RegionLoader {
-        RegionLoader {
-            source,
-            cache: LoaderCache::Local(ChunkCache::new(cache_bytes)),
-            delta: false,
-            prev: None,
-            load_times: Welford::new(),
-            recent_load: Ewma::default(),
-            retry: RetryPolicy::default(),
-            total_retries: 0,
-            telemetry: SessionTelemetry::disabled(),
-        }
-    }
-
     /// Creates a loader on a [`SharedChunkCache`] (typically also handed
-    /// to the prefetcher), optionally with delta reconstruction.
-    pub fn with_shared(
-        source: Arc<dyn ChunkSource>,
-        cache: Arc<SharedChunkCache>,
-        delta: bool,
-    ) -> RegionLoader {
-        RegionLoader {
-            source,
-            cache: LoaderCache::Shared(cache),
-            delta,
-            prev: None,
-            load_times: Welford::new(),
-            recent_load: Ewma::default(),
-            retry: RetryPolicy::default(),
-            total_retries: 0,
-            telemetry: SessionTelemetry::disabled(),
-        }
+    /// to the prefetcher).
+    pub fn with_shared(source: Arc<dyn ChunkSource>, cache: Arc<SharedChunkCache>) -> RegionLoader {
+        RegionLoader::over(source, LoaderCache::Shared(cache))
     }
 
     /// Creates a per-session loader over an engine's shared cache:
     /// `source` is the session's handle (its tracker is billed the
     /// session's modeled I/O), `view` decides the billing with its ghost
     /// ledger and serves bytes from the shared cache.
-    pub fn with_session_view(
-        source: Arc<dyn ChunkSource>,
-        view: SessionChunkView,
-        delta: bool,
-    ) -> RegionLoader {
+    pub fn with_session_view(source: Arc<dyn ChunkSource>, view: SessionChunkView) -> RegionLoader {
+        RegionLoader::over(source, LoaderCache::Session(view))
+    }
+
+    fn over(source: Arc<dyn ChunkSource>, cache: LoaderCache) -> RegionLoader {
         RegionLoader {
             source,
-            cache: LoaderCache::Session(view),
-            delta,
+            cache,
             prev: None,
             load_times: Welford::new(),
             recent_load: Ewma::default(),
@@ -160,43 +123,22 @@ impl RegionLoader {
         self.total_retries
     }
 
-    /// Turns delta reconstruction on or off. Turning it off drops the
-    /// retained chunk set.
-    pub fn set_delta(&mut self, on: bool) {
-        self.delta = on;
-        if !on {
-            self.prev = None;
-        }
-    }
-
-    /// Whether delta reconstruction is active.
-    pub fn delta_enabled(&self) -> bool {
-        self.delta
-    }
-
-    /// The underlying chunk source.
-    pub fn source(&self) -> &Arc<dyn ChunkSource> {
-        &self.source
-    }
-
     /// Chunk-cache statistics (of whichever cache backs this loader). For
     /// a session loader these are the deterministic ghost counters, not
     /// the shared cache's aggregate.
     pub fn cache_stats(&self) -> CacheStats {
         match &self.cache {
-            LoaderCache::Local(c) => c.stats(),
             LoaderCache::Shared(c) => c.stats(),
             LoaderCache::Session(v) => v.stats(),
         }
     }
 
-    /// The shared cache handle, when this loader runs on one (directly or
-    /// through a session view).
-    pub fn shared_cache(&self) -> Option<&Arc<SharedChunkCache>> {
+    /// The shared cache this loader runs on (directly or through a session
+    /// view).
+    pub fn shared_cache(&self) -> &Arc<SharedChunkCache> {
         match &self.cache {
-            LoaderCache::Local(_) => None,
-            LoaderCache::Shared(c) => Some(c),
-            LoaderCache::Session(v) => Some(v.shared()),
+            LoaderCache::Shared(c) => c,
+            LoaderCache::Session(v) => v.shared(),
         }
     }
 
@@ -231,16 +173,15 @@ impl RegionLoader {
         let chunks = mapping.chunks_for_cell(grid, id)?;
         let wall_start = Instant::now();
         let io_before = self.source.tracker().snapshot();
-        // Delta mode: reuse the previous region's decoded chunks for the
-        // overlap; only the chunk-ID delta goes through the fetch path. The
-        // new region's set replaces the old one afterwards, whether the
-        // load came from cache, disk, or reuse — chunks are immutable, so
-        // retained copies never go stale. Taken once, before the retry
-        // loop: if every attempt fails, the delta baseline is simply lost
-        // and the next successful load starts cold.
-        let prev = if self.delta { self.prev.take() } else { None };
+        // Reuse the previous region's decoded chunks for the overlap; only
+        // the chunk-ID delta goes through the fetch path. The new region's
+        // set replaces the old one afterwards, whether the load came from
+        // cache, disk, or reuse — chunks are immutable, so retained copies
+        // never go stale. Taken once, before the retry loop: if every
+        // attempt fails, the delta baseline is simply lost and the next
+        // successful load starts cold.
+        let prev = self.prev.take();
         let policy = self.retry;
-        let delta = self.delta;
         let source = self.source.as_ref();
         let tel = self.telemetry.clone();
         let cache = &mut self.cache;
@@ -252,24 +193,12 @@ impl RegionLoader {
         let ((rows, merge, set), retries) = policy.run(source.tracker(), || {
             // One merge span per attempt: retried merges each count.
             let _merge_span = tel.span(Phase::ChunkMerge);
-            let fetch = match cache {
-                LoaderCache::Local(c) => ChunkFetch::Cached(c),
-                LoaderCache::Shared(c) => ChunkFetch::Shared(c),
-                LoaderCache::Session(v) => ChunkFetch::Session(v),
-            };
-            if delta {
-                let (rows, merge, set) =
-                    reconstruct_region_delta(source, &region, &chunks, prev.as_ref(), fetch)?;
-                Ok((rows, merge, Some(set)))
-            } else {
-                let (rows, merge) =
-                    reconstruct_region_with_chunks(source, &region, &chunks, fetch)?;
-                Ok((rows, merge, None))
-            }
+            reconstruct_region(source, &region, &chunks, prev.as_ref(), &mut |id| match cache {
+                LoaderCache::Shared(shared) => shared.get_or_load(source, id),
+                LoaderCache::Session(view) => view.get_or_load(source, id),
+            })
         })?;
-        if self.delta {
-            self.prev = set;
-        }
+        self.prev = Some(set);
         self.total_retries += retries;
         if retries > 0 {
             self.telemetry.event(FlightEventKind::Retry, self.load_times.count(), || {
@@ -291,7 +220,6 @@ impl RegionLoader {
     /// never cleared from here.
     pub fn clear_cache(&mut self) {
         match &mut self.cache {
-            LoaderCache::Local(c) => c.clear(),
             LoaderCache::Shared(c) => c.clear(),
             LoaderCache::Session(v) => v.clear_ghost(),
         }
@@ -302,37 +230,18 @@ impl RegionLoader {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testutil::build_store as build;
     use uei_storage::io::{DiskTracker, IoProfile};
-    use uei_storage::store::{ColumnStore, StoreConfig};
-    use uei_types::{AttributeDef, Rng, Schema};
-
-    fn build(tag: &str, n: usize) -> (Arc<ColumnStore>, Vec<DataPoint>, uei_storage::TempDir) {
-        let dir = uei_storage::TempDir::new(&format!("loader-{tag}"));
-        let schema = Schema::new(vec![
-            AttributeDef::new("x", 0.0, 100.0).unwrap(),
-            AttributeDef::new("y", 0.0, 100.0).unwrap(),
-        ])
-        .unwrap();
-        let mut rng = Rng::new(77);
-        let rows: Vec<DataPoint> = (0..n)
-            .map(|i| {
-                DataPoint::new(i as u64, vec![rng.range_f64(0.0, 100.0), rng.range_f64(0.0, 100.0)])
-            })
-            .collect();
-        let tracker = DiskTracker::new(IoProfile::nvme());
-        let store = ColumnStore::create(
-            dir.path(),
-            schema,
-            &rows,
-            StoreConfig { chunk_target_bytes: 512 },
-            tracker,
-        )
-        .unwrap();
-        (Arc::new(store), rows, dir)
-    }
+    use uei_storage::store::ColumnStore;
 
     fn src(store: &Arc<ColumnStore>) -> Arc<dyn ChunkSource> {
         Arc::clone(store) as Arc<dyn ChunkSource>
+    }
+
+    /// A loader over its own shared cache of `cache_bytes`.
+    fn loader(store: &Arc<ColumnStore>, cache_bytes: usize) -> RegionLoader {
+        let cache = Arc::new(SharedChunkCache::with_default_shards(cache_bytes));
+        RegionLoader::with_shared(src(store), cache)
     }
 
     #[test]
@@ -340,7 +249,7 @@ mod tests {
         let (store, rows, _dir) = build("population", 2000);
         let grid = Grid::new(store.schema(), 4).unwrap();
         let mapping = ChunkMapping::build(&grid, store.manifest()).unwrap();
-        let mut loader = RegionLoader::new(src(&store), 32 << 20);
+        let mut loader = loader(&store, 32 << 20);
         let mut total = 0usize;
         for cell in grid.cell_ids() {
             let (loaded, stats) = loader.load_cell(&grid, &mapping, cell).unwrap();
@@ -363,7 +272,7 @@ mod tests {
         let (store, _, _dir) = build("tau", 1000);
         let grid = Grid::new(store.schema(), 3).unwrap();
         let mapping = ChunkMapping::build(&grid, store.manifest()).unwrap();
-        let mut loader = RegionLoader::new(src(&store), 0); // no caching
+        let mut loader = loader(&store, 0); // no caching
         assert_eq!(loader.loads(), 0);
         for cell in [0usize, 4, 8] {
             loader.load_cell(&grid, &mapping, cell).unwrap();
@@ -377,7 +286,7 @@ mod tests {
         let (store, _, _dir) = build("ewmatau", 1000);
         let grid = Grid::new(store.schema(), 3).unwrap();
         let mapping = ChunkMapping::build(&grid, store.manifest()).unwrap();
-        let mut loader = RegionLoader::new(src(&store), 256 << 20);
+        let mut loader = loader(&store, 256 << 20);
         loader.load_cell(&grid, &mapping, 4).unwrap(); // cold: pays I/O
         let cold = loader.recent_load_secs();
         assert!(cold > 0.0, "cold load has modeled cost");
@@ -397,7 +306,7 @@ mod tests {
         let (store, _, _dir) = build("cachehit", 1500);
         let grid = Grid::new(store.schema(), 3).unwrap();
         let mapping = ChunkMapping::build(&grid, store.manifest()).unwrap();
-        let mut loader = RegionLoader::new(src(&store), 256 << 20);
+        let mut loader = loader(&store, 256 << 20);
         let (first, _) = loader.load_cell(&grid, &mapping, 4).unwrap();
         let before = store.tracker().snapshot();
         let (second, stats) = loader.load_cell(&grid, &mapping, 4).unwrap();
@@ -407,21 +316,24 @@ mod tests {
     }
 
     #[test]
-    fn shared_cache_loader_matches_local() {
+    fn session_view_loader_matches_shared() {
         let (store, _, _dir) = build("sharedmatch", 1500);
         let grid = Grid::new(store.schema(), 3).unwrap();
         let mapping = ChunkMapping::build(&grid, store.manifest()).unwrap();
-        let shared = Arc::new(SharedChunkCache::new(64 << 20, 4));
-        let mut a = RegionLoader::new(src(&store), 64 << 20);
-        let mut b = RegionLoader::with_shared(src(&store), shared, false);
+        let mut a = loader(&store, 64 << 20);
+        let session = Arc::new(store.with_tracker(DiskTracker::new(IoProfile::nvme())));
+        let view = SessionChunkView::new(Arc::clone(a.shared_cache()), src(&store), 64 << 20);
+        let mut b = RegionLoader::with_session_view(src(&session), view);
         for cell in [0usize, 4, 5, 8] {
-            let (ra, _) = a.load_cell(&grid, &mapping, cell).unwrap();
-            let (rb, _) = b.load_cell(&grid, &mapping, cell).unwrap();
+            let (ra, sa) = a.load_cell(&grid, &mapping, cell).unwrap();
+            let (rb, sb) = b.load_cell(&grid, &mapping, cell).unwrap();
             assert_eq!(ra, rb, "cell {cell}");
+            assert_eq!(sa.merge, sb.merge, "cell {cell}");
+            assert_eq!(sa.virtual_time, sb.virtual_time, "cell {cell}: same modeled cost");
         }
         assert!(b.cache_stats().misses > 0);
-        assert!(b.shared_cache().is_some());
-        assert!(a.shared_cache().is_none());
+        assert_eq!(a.cache_stats().misses, b.cache_stats().misses, "view bills like an owner");
+        assert!(Arc::ptr_eq(a.shared_cache(), b.shared_cache()));
     }
 
     #[test]
@@ -431,8 +343,7 @@ mod tests {
         let mapping = ChunkMapping::build(&grid, store.manifest()).unwrap();
         // Zero cache budget: everything bypasses; only the delta set can
         // make the reload free.
-        let shared = Arc::new(SharedChunkCache::new(0, 2));
-        let mut loader = RegionLoader::with_shared(src(&store), shared, true);
+        let mut loader = loader(&store, 0);
         let (first, _) = loader.load_cell(&grid, &mapping, 4).unwrap();
         let before = store.tracker().snapshot();
         let (second, stats) = loader.load_cell(&grid, &mapping, 4).unwrap();
@@ -441,8 +352,8 @@ mod tests {
         assert_eq!(stats.merge.chunks_loaded, 0);
         assert!(stats.merge.chunks_reused > 0);
         assert_eq!(stats.virtual_time, Duration::ZERO);
-        // Turning delta off drops the retained set: the next reload pays.
-        loader.set_delta(false);
+        // Clearing drops the retained set: the next reload pays.
+        loader.clear_cache();
         let before = store.tracker().snapshot();
         let (third, stats) = loader.load_cell(&grid, &mapping, 4).unwrap();
         assert_eq!(first, third);
@@ -455,8 +366,7 @@ mod tests {
         let (store, rows, _dir) = build("deltaadj", 3000);
         let grid = Grid::new(store.schema(), 3).unwrap();
         let mapping = ChunkMapping::build(&grid, store.manifest()).unwrap();
-        let shared = Arc::new(SharedChunkCache::new(0, 2)); // delta only
-        let mut loader = RegionLoader::with_shared(src(&store), shared, true);
+        let mut loader = loader(&store, 0); // delta only
         loader.load_cell(&grid, &mapping, 0).unwrap();
         // Adjacent cell in x: shares the y-dimension chunk range entirely.
         let (got, stats) = loader.load_cell(&grid, &mapping, 1).unwrap();
@@ -478,7 +388,7 @@ mod tests {
         let (store, _, _dir) = build("fraction", 4000);
         let grid = Grid::new(store.schema(), 5).unwrap();
         let mapping = ChunkMapping::build(&grid, store.manifest()).unwrap();
-        let mut loader = RegionLoader::new(src(&store), 0);
+        let mut loader = loader(&store, 0);
         let (_, stats) = loader.load_cell(&grid, &mapping, 12).unwrap();
         let all_chunk_bytes = store.manifest().total_chunk_bytes();
         assert!(
@@ -487,5 +397,54 @@ mod tests {
             stats.merge.chunk_bytes,
             all_chunk_bytes
         );
+    }
+
+    /// One fault kind at a time against a cache-less loader walking every
+    /// cell: latency spikes reach the virtual clock but never fail a load,
+    /// and corruption surfaces as failed loads that are never retried.
+    /// (Transients absorbed by retries: `load::tests`.)
+    #[test]
+    fn spikes_never_fail_a_load_and_corruption_is_never_retried() {
+        use uei_storage::fault::{FaultConfig, FaultInjector};
+        let (store, _, _dir) = build("faultkinds", 3000);
+        let grid = Grid::new(store.schema(), 4).unwrap();
+        let mapping = ChunkMapping::build(&grid, store.manifest()).unwrap();
+        let sweep = |faults: FaultConfig| {
+            let injector = FaultInjector::new(faults).unwrap();
+            store.tracker().set_fault_injector(Some(Arc::clone(&injector)));
+            let mut loader = loader(&store, 0);
+            let before = store.tracker().snapshot();
+            let failed = grid
+                .cell_ids()
+                .filter(|&cell| match loader.load_cell(&grid, &mapping, cell) {
+                    Ok(_) => false,
+                    Err(e) => {
+                        assert!(e.is_storage_fault(), "untyped error under injection: {e}");
+                        true
+                    }
+                })
+                .count();
+            let virtual_time = store.tracker().delta(&before).virtual_elapsed;
+            store.tracker().set_fault_injector(None);
+            (failed, loader.total_retries(), virtual_time, injector.stats())
+        };
+
+        let (_, _, clean_time, _) = sweep(FaultConfig::off());
+        let slow = FaultConfig {
+            seed: 211,
+            slow_prob: 0.1,
+            slow_penalty_secs: 0.05,
+            ..FaultConfig::off()
+        };
+        let (failed, retries, slow_time, stats) = sweep(slow);
+        assert!(stats.latency_spikes > 0, "spikes fired: {stats:?}");
+        assert_eq!((failed, retries), (0, 0), "a slow read is still a good read");
+        assert!(slow_time > clean_time, "spike penalties reach the virtual clock");
+
+        let corrupt = FaultConfig { seed: 211, corrupt_prob: 0.02, ..FaultConfig::off() };
+        let (failed, retries, _, stats) = sweep(corrupt);
+        assert!(stats.corruptions > 0, "corruption fired: {stats:?}");
+        assert!(failed > 0, "corruption must surface, never be silently decoded");
+        assert_eq!(retries, 0, "a corrupt chunk stays corrupt: never retried");
     }
 }

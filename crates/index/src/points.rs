@@ -57,7 +57,7 @@ impl RescoreStats {
 /// pass: each shard's axis-aligned bounding box of center positions in
 /// the model's influence space ([`Classifier::influence_position`]),
 /// plus its largest cached squared influence radius. Incremental passes
-/// skip the delta sweep of every shard whose inflated max radius cannot
+/// skip the delta sweep of every shard whose max radius cannot
 /// reach any added example — the shard is provably all-clean, so the
 /// result stays bit-identical (DESIGN.md §14).
 ///
@@ -83,14 +83,14 @@ struct ShardPrune {
 
 impl ShardPrune {
     /// Whether shard `s` is provably untouched: every added example's
-    /// influence-space position sits at least the shard's inflated max
-    /// radius away from the shard's bounding box, so no (margin-inflated)
-    /// influence ball in the shard can contain it.
-    fn shard_is_clean(&self, s: usize, added_pos: &[Vec<f64>], inflate: f64) -> bool {
+    /// influence-space position sits at least the shard's max radius away
+    /// from the shard's bounding box, so no influence ball in the shard
+    /// can contain it.
+    fn shard_is_clean(&self, s: usize, added_pos: &[Vec<f64>]) -> bool {
         if self.opaque[s] {
             return false;
         }
-        let bound = self.max_r2[s] * inflate;
+        let bound = self.max_r2[s];
         if !bound.is_finite() {
             return false;
         }
@@ -169,12 +169,17 @@ pub struct IndexPoints {
     /// pass, of any kind.
     model_version: u64,
     /// Incremental passes since the last full rescore — drives the
-    /// periodic-full-rescore staleness bound.
+    /// [`FULL_RESCORE_EVERY`] staleness bound.
     incremental_passes: usize,
     /// Cumulative shards whose scores a rescoring pass recomputed (full
     /// passes count every shard; incremental passes only the dirty ones).
     shards_touched: u64,
 }
+
+/// A full tracked rescore is forced after this many consecutive
+/// incremental passes — a belt-and-braces staleness bound for long
+/// sessions.
+const FULL_RESCORE_EVERY: usize = 50;
 
 impl IndexPoints {
     /// Materializes the index points of a grid (Algorithm 2 lines 7–11)
@@ -184,11 +189,31 @@ impl IndexPoints {
     }
 
     /// [`Self::from_grid`] with an explicit shard count (`0` = auto, other
-    /// values clamped to `[1, num_cells]` — see [`ShardLayout::new`]).
+    /// values clamped to `[1, num_cells]` — see [`ShardLayout::new`]). The
+    /// engine always sizes automatically; tests pass 1 for the
+    /// global-ranking reference.
     pub fn from_grid_with_shards(grid: &Grid, shards: usize) -> Result<IndexPoints> {
-        let mut centers = PointMatrix::with_capacity(grid.num_cells(), grid.dims());
-        for id in grid.cell_ids() {
-            centers.push_row(&grid.cell_center(id)?)?;
+        let (dims, per_dim) = (grid.dims(), grid.cells_per_dim());
+        // A center is one slice midpoint per dimension, so the
+        // `dims × per_dim` midpoints are computed once and the cells walked
+        // by a row-major odometer (last dimension fastest, matching
+        // `Grid::id_to_coords`) instead of decoding every id.
+        let mids: Vec<f64> =
+            (0..dims).flat_map(|d| (0..per_dim).map(move |c| grid.slice_center(d, c))).collect();
+        let mut coords = vec![0usize; dims];
+        let mut row: Vec<f64> = (0..dims).map(|d| mids[d * per_dim]).collect();
+        let mut centers = PointMatrix::with_capacity(grid.num_cells(), dims);
+        for _ in 0..grid.num_cells() {
+            centers.push_row(&row)?;
+            for d in (0..dims).rev() {
+                coords[d] += 1;
+                if coords[d] < per_dim {
+                    row[d] = mids[d * per_dim + coords[d]];
+                    break;
+                }
+                coords[d] = 0;
+                row[d] = mids[d * per_dim];
+            }
         }
         let n = centers.len();
         let layout = ShardLayout::new(n, shards);
@@ -237,7 +262,7 @@ impl IndexPoints {
 
     /// Cumulative count of shards whose delta sweep the locality prune
     /// skipped outright (the shard was provably beyond every added
-    /// example's inflated influence ball).
+    /// example's influence ball).
     pub fn shards_pruned(&self) -> u64 {
         self.shards_pruned
     }
@@ -260,30 +285,11 @@ impl IndexPoints {
     }
 
     /// Re-scores every index point with the current model
-    /// (`updateUncertainty(P, M)`, Algorithm 2 line 17).
-    ///
-    /// Scoring fans out shard-parallel, each shard batching its slice
-    /// through [`Classifier::predict_proba_batch`]; the batch contract is
-    /// element-wise, so the resulting scores are bit-identical to
-    /// [`Self::update_sequential`] at any shard count.
-    pub fn update(&mut self, model: &dyn Classifier, measure: UncertaintyMeasure) {
-        let layout = Arc::clone(&self.layout);
-        let centers = Arc::clone(&self.centers);
-        let parts: Vec<Vec<f64>> = (0..layout.num_shards())
-            .into_par_iter()
-            .map(|s| {
-                let range = layout.range(s);
-                let refs: Vec<&[f64]> = range.map(|i| centers.row(i)).collect();
-                measure.score_points(model, &refs)
-            })
-            .collect();
-        self.uncertainty = parts.concat();
-        self.finish_full_pass(None);
-    }
-
-    /// The pre-batching scoring loop: one independent `predict_proba` call
-    /// per index point. Kept as the baseline the scoring benchmark (and
-    /// the `parallel: false` config knob) compares against.
+    /// (`updateUncertainty(P, M)`, Algorithm 2 line 17) the literal way:
+    /// one independent `predict_proba` call per index point, in cell
+    /// order. This is the reference the batch paths are bit-compared
+    /// against in tests; the engine rescoring goes through
+    /// [`Self::update_tracked`] and [`Self::update_incremental`].
     pub fn update_sequential(&mut self, model: &dyn Classifier, measure: UncertaintyMeasure) {
         for (i, center) in self.centers.rows().enumerate() {
             self.uncertainty[i] = measure.score(model.predict_proba(center));
@@ -291,9 +297,13 @@ impl IndexPoints {
         self.finish_full_pass(None);
     }
 
-    /// Full rescore through the tracked batch path: same bit-identical
-    /// scores as [`Self::update`], but also captures each point's influence
-    /// radius so the next [`Self::update_incremental`] pass can prune.
+    /// Full rescore through the batch path. Scoring fans out
+    /// shard-parallel, each shard batching its slice through
+    /// [`Classifier::predict_proba_batch_tracked`]; the batch contract is
+    /// element-wise, so the scores are bit-identical to
+    /// [`Self::update_sequential`] at any shard count. Also captures each
+    /// point's influence radius so the next [`Self::update_incremental`]
+    /// pass can prune.
     pub fn update_tracked(
         &mut self,
         model: &dyn Classifier,
@@ -347,12 +357,12 @@ impl IndexPoints {
     /// Scores are **bit-identical** to a full rescore: the delta contract
     /// guarantees clean points would reproduce their cached value, and the
     /// batch path is element-wise independent, so scoring the dirty subset
-    /// equals scoring those points inside a full batch. `margin ≥ 0`
-    /// inflates the influence radii (more dirty points, never fewer);
-    /// `full_every` forces a full tracked rescore after that many
-    /// consecutive incremental passes, bounding drift in long sessions.
-    /// Falls back to a full tracked rescore whenever the cache is cold, the
-    /// model reports a global delta, or the delta is malformed.
+    /// equals scoring those points inside a full batch. Every 50th
+    /// consecutive incremental pass (`FULL_RESCORE_EVERY`) is a full
+    /// tracked rescore instead, bounding drift in long sessions. Falls
+    /// back to a full tracked rescore whenever the cache is cold, the
+    /// model reports a global delta (NB, SVM, committees), or the delta is
+    /// malformed.
     ///
     /// Debug builds cross-check the result against a from-scratch full
     /// rescore and assert bit equality.
@@ -361,10 +371,8 @@ impl IndexPoints {
         model: &dyn Classifier,
         measure: UncertaintyMeasure,
         added: &[&[f64]],
-        margin: f64,
-        full_every: usize,
     ) -> RescoreStats {
-        let full_due = full_every > 0 && self.incremental_passes + 1 >= full_every;
+        let full_due = self.incremental_passes + 1 >= FULL_RESCORE_EVERY;
         let stats = if !self.updated || full_due || self.radii2.is_none() {
             self.update_tracked(model, measure)
         } else {
@@ -374,7 +382,7 @@ impl IndexPoints {
             if self.prune.is_none() {
                 self.prune = Some(self.build_prune(model));
             }
-            let pruned = self.pruned_shards(model, added, margin);
+            let pruned = self.pruned_shards(model, added);
             self.shards_pruned += pruned.iter().filter(|&&p| p).count() as u64;
             let deltas: Vec<ModelDelta> = {
                 let radii2 = self.radii2.as_deref().expect("checked above");
@@ -392,7 +400,6 @@ impl IndexPoints {
                             range.clone(),
                             &radii2[range],
                             added,
-                            margin,
                         )
                     })
                     .collect()
@@ -525,17 +532,14 @@ impl IndexPoints {
 
     /// Which shards this pass's added examples provably cannot dirty.
     /// Conservative on every edge the delta path treats specially: an
-    /// invalid margin, an unmappable added example, or a position of the
-    /// wrong shape disables pruning for the whole pass (all-false).
-    fn pruned_shards(&self, model: &dyn Classifier, added: &[&[f64]], margin: f64) -> Vec<bool> {
+    /// unmappable added example or a position of the wrong shape disables
+    /// pruning for the whole pass (all-false).
+    fn pruned_shards(&self, model: &dyn Classifier, added: &[&[f64]]) -> Vec<bool> {
         let shards = self.layout.num_shards();
         let no_prune = vec![false; shards];
         let Some(prune) = self.prune.as_ref() else {
             return no_prune;
         };
-        if !(margin >= 0.0) || !margin.is_finite() {
-            return no_prune;
-        }
         let mut added_pos = Vec::with_capacity(added.len());
         for a in added {
             match model.influence_position(a) {
@@ -545,8 +549,7 @@ impl IndexPoints {
                 _ => return no_prune,
             }
         }
-        let inflate = (1.0 + margin) * (1.0 + margin);
-        (0..shards).map(|s| prune.shard_is_clean(s, &added_pos, inflate)).collect()
+        (0..shards).map(|s| prune.shard_is_clean(s, &added_pos)).collect()
     }
 
     /// Bookkeeping shared by all full-rescore variants.
@@ -585,7 +588,7 @@ impl IndexPoints {
     }
 
     /// The most uncertain index point `p*` (Eq. 3); ties break toward the
-    /// lowest cell id. Errors if [`Self::update`] has never run.
+    /// lowest cell id. Errors before the first rescoring pass.
     pub fn most_uncertain(&self) -> Result<CellId> {
         self.ranked_top(1).map(|v| v[0])
     }
@@ -599,7 +602,7 @@ impl IndexPoints {
     pub fn ranked_top(&self, n: usize) -> Result<Vec<CellId>> {
         if !self.updated {
             return Err(UeiError::invalid_state(
-                "index points have not been scored yet; call update() first",
+                "index points have not been scored yet; rescore them first",
             ));
         }
         if self.centers.is_empty() || n == 0 {
@@ -618,7 +621,7 @@ impl IndexPoints {
     pub fn ranked_top_cached(&mut self, n: usize) -> Result<Vec<CellId>> {
         if !self.updated {
             return Err(UeiError::invalid_state(
-                "index points have not been scored yet; call update() first",
+                "index points have not been scored yet; rescore them first",
             ));
         }
         if self.centers.is_empty() || n == 0 {
@@ -671,13 +674,26 @@ mod tests {
 
     #[test]
     fn centers_match_grid() {
-        let grid = grid3();
-        let points = IndexPoints::from_grid(&grid).unwrap();
-        assert_eq!(points.len(), 9);
-        for id in grid.cell_ids() {
-            assert_eq!(points.center(id).unwrap(), grid.cell_center(id).unwrap().as_slice());
+        // Uneven, offset domains: every midpoint takes real rounding.
+        let schema4 = Schema::new(vec![
+            AttributeDef::new("a", -3.7, 11.3).unwrap(),
+            AttributeDef::new("b", 0.1, 0.9).unwrap(),
+            AttributeDef::new("c", 1e3, 1e6 / 3.0).unwrap(),
+            AttributeDef::new("d", -1.0, 2.0).unwrap(),
+        ])
+        .unwrap();
+        for grid in [grid3(), Grid::new(&schema4, 7).unwrap()] {
+            let points = IndexPoints::from_grid(&grid).unwrap();
+            assert_eq!(points.len(), grid.num_cells());
+            for id in grid.cell_ids() {
+                let got: Vec<u64> =
+                    points.center(id).unwrap().iter().map(|v| v.to_bits()).collect();
+                let want: Vec<u64> =
+                    grid.cell_center(id).unwrap().iter().map(|v| v.to_bits()).collect();
+                assert_eq!(got, want, "cell {id}");
+            }
+            assert!(points.center(grid.num_cells()).is_err());
         }
-        assert!(points.center(9).is_err());
     }
 
     #[test]
@@ -693,7 +709,7 @@ mod tests {
         let mut points = IndexPoints::from_grid(&grid).unwrap();
         // Boundary at x = 1.5: middle column (cells with x-coord 1) has
         // centers at x = 1.5 where p = 0.5.
-        points.update(&BoundaryAtX(1.5), UncertaintyMeasure::LeastConfidence);
+        points.update_tracked(&BoundaryAtX(1.5), UncertaintyMeasure::LeastConfidence);
         let best = points.most_uncertain().unwrap();
         let coords = grid.id_to_coords(best).unwrap();
         assert_eq!(coords[0], 1, "most uncertain cell sits on the boundary column");
@@ -704,7 +720,7 @@ mod tests {
     fn ranking_is_descending_and_deterministic() {
         let grid = grid3();
         let mut points = IndexPoints::from_grid(&grid).unwrap();
-        points.update(&BoundaryAtX(0.5), UncertaintyMeasure::LeastConfidence);
+        points.update_tracked(&BoundaryAtX(0.5), UncertaintyMeasure::LeastConfidence);
         let top = points.ranked_top(9).unwrap();
         assert_eq!(top.len(), 9);
         for w in top.windows(2) {
@@ -719,11 +735,11 @@ mod tests {
     fn sharded_scoring_and_ranking_match_single_shard() {
         let grid = grid3();
         let mut reference = IndexPoints::from_grid_with_shards(&grid, 1).unwrap();
-        reference.update(&BoundaryAtX(1.2), UncertaintyMeasure::Entropy);
+        reference.update_tracked(&BoundaryAtX(1.2), UncertaintyMeasure::Entropy);
         for shards in [2, 3, 8, 9] {
             let mut points = IndexPoints::from_grid_with_shards(&grid, shards).unwrap();
             assert_eq!(points.num_shards(), shards.min(9));
-            points.update(&BoundaryAtX(1.2), UncertaintyMeasure::Entropy);
+            points.update_tracked(&BoundaryAtX(1.2), UncertaintyMeasure::Entropy);
             for id in 0..points.len() {
                 assert_eq!(
                     points.uncertainty(id).unwrap().to_bits(),
@@ -745,9 +761,9 @@ mod tests {
     fn boundary_moves_as_model_changes() {
         let grid = grid3();
         let mut points = IndexPoints::from_grid(&grid).unwrap();
-        points.update(&BoundaryAtX(0.5), UncertaintyMeasure::LeastConfidence);
+        points.update_tracked(&BoundaryAtX(0.5), UncertaintyMeasure::LeastConfidence);
         let early = grid.id_to_coords(points.most_uncertain().unwrap()).unwrap()[0];
-        points.update(&BoundaryAtX(2.5), UncertaintyMeasure::LeastConfidence);
+        points.update_tracked(&BoundaryAtX(2.5), UncertaintyMeasure::LeastConfidence);
         let late = grid.id_to_coords(points.most_uncertain().unwrap()).unwrap()[0];
         assert_eq!(early, 0);
         assert_eq!(late, 2, "re-scoring follows the moving decision boundary");
@@ -755,19 +771,50 @@ mod tests {
 
     #[test]
     fn batch_update_matches_sequential() {
-        let grid = grid3();
-        let mut batch = IndexPoints::from_grid(&grid).unwrap();
-        let mut seq = IndexPoints::from_grid(&grid).unwrap();
-        batch.update(&BoundaryAtX(1.2), UncertaintyMeasure::Entropy);
-        seq.update_sequential(&BoundaryAtX(1.2), UncertaintyMeasure::Entropy);
-        for id in 0..batch.len() {
-            assert_eq!(
-                batch.uncertainty(id).unwrap().to_bits(),
-                seq.uncertainty(id).unwrap().to_bits(),
-                "cell {id}"
-            );
+        use uei_learn::{Committee, EstimatorKind};
+        use uei_types::{Label, Rng};
+        fn assert_same_scores(grid: &Grid, model: &dyn Classifier, name: &str) {
+            let mut batch = IndexPoints::from_grid(grid).unwrap();
+            let mut seq = IndexPoints::from_grid(grid).unwrap();
+            batch.update_tracked(model, UncertaintyMeasure::Entropy);
+            seq.update_sequential(model, UncertaintyMeasure::Entropy);
+            for id in 0..batch.len() {
+                assert_eq!(
+                    batch.uncertainty(id).unwrap().to_bits(),
+                    seq.uncertainty(id).unwrap().to_bits(),
+                    "{name}: cell {id}"
+                );
+            }
+            assert_eq!(batch.ranked_top(9).unwrap(), seq.ranked_top(9).unwrap(), "{name}");
         }
-        assert_eq!(batch.ranked_top(9).unwrap(), seq.ranked_top(9).unwrap());
+        assert_same_scores(&grid3(), &BoundaryAtX(1.2), "sigmoid");
+
+        // Every estimator on a plane big enough to shard and to cross each
+        // model's batch fan-out threshold.
+        let schema = Schema::new(vec![
+            AttributeDef::new("x", 0.0, 3.0).unwrap(),
+            AttributeDef::new("y", 0.0, 3.0).unwrap(),
+        ])
+        .unwrap();
+        let grid = Grid::new(&schema, 130).unwrap();
+        let mut rng = Rng::new(41);
+        let examples: Vec<(Vec<f64>, Label)> = (0..40)
+            .map(|_| {
+                let p = vec![rng.range_f64(0.0, 3.0), rng.range_f64(0.0, 3.0)];
+                let label = Label::from_bool(p[0] + 0.3 * p[1] > 1.7);
+                (p, label)
+            })
+            .collect();
+        for kind in [
+            EstimatorKind::Dwknn { k: 5 },
+            EstimatorKind::Knn { k: 5 },
+            EstimatorKind::NaiveBayes,
+            EstimatorKind::LinearSvm { epochs: 10, lambda: 0.01 },
+        ] {
+            assert_same_scores(&grid, kind.train(&examples).unwrap().as_ref(), kind.name());
+        }
+        let committee = Committee::train(EstimatorKind::Dwknn { k: 3 }, 3, &examples, 7).unwrap();
+        assert_same_scores(&grid, &committee, "committee");
     }
 
     #[test]
@@ -788,7 +835,7 @@ mod tests {
         }
         let grid = grid3();
         let mut points = IndexPoints::from_grid_with_shards(&grid, 3).unwrap();
-        points.update(&PartiallyNan, UncertaintyMeasure::LeastConfidence);
+        points.update_tracked(&PartiallyNan, UncertaintyMeasure::LeastConfidence);
         let ranked = points.ranked_top(9).unwrap();
         assert_eq!(ranked.len(), 9);
         // The three NaN-scored cells (x-coord 0 → ids 0, 3, 6 in row-major
@@ -830,16 +877,11 @@ mod tests {
         extended.push((new_point.clone(), Label::Positive));
         let model_b = Dwknn::fit(3, &extended).unwrap();
         let added_refs: Vec<&[f64]> = vec![new_point.as_slice()];
-        let stats = inc.update_incremental(
-            &model_b,
-            UncertaintyMeasure::LeastConfidence,
-            &added_refs,
-            0.0,
-            0,
-        );
+        let stats =
+            inc.update_incremental(&model_b, UncertaintyMeasure::LeastConfidence, &added_refs);
 
         let mut full = IndexPoints::from_grid(&grid).unwrap();
-        full.update(&model_b, UncertaintyMeasure::LeastConfidence);
+        full.update_sequential(&model_b, UncertaintyMeasure::LeastConfidence);
         for id in 0..9 {
             assert_eq!(
                 inc.uncertainty(id).unwrap().to_bits(),
@@ -887,9 +929,8 @@ mod tests {
                 points: &[&[f64]],
                 radii2: &[f64],
                 added: &[&[f64]],
-                margin: f64,
             ) -> ModelDelta {
-                knn_influence_delta(points, radii2, added, margin, usize::MAX)
+                knn_influence_delta(points, radii2, added, usize::MAX)
             }
             fn dims(&self) -> usize {
                 2
@@ -904,8 +945,6 @@ mod tests {
             &OpaqueRadii,
             UncertaintyMeasure::LeastConfidence,
             &added_refs,
-            0.0,
-            0,
         );
         assert_eq!(points.shards_pruned(), 0, "no influence space, no pruning");
         // The per-point delta still prunes the far cells individually.
@@ -918,23 +957,13 @@ mod tests {
         let grid = grid3();
         let mut points = IndexPoints::from_grid(&grid).unwrap();
         // Cold cache: nothing to prune against.
-        let stats = points.update_incremental(
-            &BoundaryAtX(1.5),
-            UncertaintyMeasure::LeastConfidence,
-            &[],
-            0.0,
-            0,
-        );
+        let stats =
+            points.update_incremental(&BoundaryAtX(1.5), UncertaintyMeasure::LeastConfidence, &[]);
         assert_eq!(stats, RescoreStats { points_rescored: 9, points_cached: 0 });
         // BoundaryAtX uses the default (Global) delta: full again, even
         // though no examples were added.
-        let stats = points.update_incremental(
-            &BoundaryAtX(1.5),
-            UncertaintyMeasure::LeastConfidence,
-            &[],
-            0.0,
-            0,
-        );
+        let stats =
+            points.update_incremental(&BoundaryAtX(1.5), UncertaintyMeasure::LeastConfidence, &[]);
         assert_eq!(stats, RescoreStats { points_rescored: 9, points_cached: 0 });
     }
 
@@ -951,14 +980,16 @@ mod tests {
         let grid = grid3();
         let mut points = IndexPoints::from_grid(&grid).unwrap();
         points.update_tracked(&model, UncertaintyMeasure::LeastConfidence);
-        // No added examples: the first incremental pass keeps everything…
-        let stats =
-            points.update_incremental(&model, UncertaintyMeasure::LeastConfidence, &[], 0.0, 2);
-        assert_eq!(stats, RescoreStats { points_rescored: 0, points_cached: 9 });
-        // …and the second hits the full_every = 2 staleness bound.
-        let stats =
-            points.update_incremental(&model, UncertaintyMeasure::LeastConfidence, &[], 0.0, 2);
+        // No added examples: incremental passes keep everything…
+        for pass in 1..FULL_RESCORE_EVERY {
+            let stats = points.update_incremental(&model, UncertaintyMeasure::LeastConfidence, &[]);
+            assert_eq!(stats, RescoreStats { points_rescored: 0, points_cached: 9 }, "{pass}");
+        }
+        // …until the staleness bound forces a full one, and the count restarts.
+        let stats = points.update_incremental(&model, UncertaintyMeasure::LeastConfidence, &[]);
         assert_eq!(stats, RescoreStats { points_rescored: 9, points_cached: 0 });
+        let stats = points.update_incremental(&model, UncertaintyMeasure::LeastConfidence, &[]);
+        assert_eq!(stats, RescoreStats { points_rescored: 0, points_cached: 9 });
     }
 
     #[test]
@@ -975,8 +1006,7 @@ mod tests {
         let mut points = IndexPoints::from_grid_with_shards(&grid, 3).unwrap();
         points.update_tracked(&model, UncertaintyMeasure::LeastConfidence);
         let after_full = points.shards_touched();
-        let stats =
-            points.update_incremental(&model, UncertaintyMeasure::LeastConfidence, &[], 0.0, 0);
+        let stats = points.update_incremental(&model, UncertaintyMeasure::LeastConfidence, &[]);
         assert_eq!(stats.points_rescored, 0, "nothing added, nothing dirty");
         assert_eq!(points.shards_touched(), after_full, "no shard recomputed");
         // The cached ranking survives the clean pass verbatim.
@@ -1006,9 +1036,9 @@ mod tests {
         }
         let grid = grid3();
         let mut points = IndexPoints::from_grid(&grid).unwrap();
-        points.update(&Confident(0.5), UncertaintyMeasure::LeastConfidence);
+        points.update_tracked(&Confident(0.5), UncertaintyMeasure::LeastConfidence);
         let vague = points.mean_uncertainty();
-        points.update(&Confident(0.99), UncertaintyMeasure::LeastConfidence);
+        points.update_tracked(&Confident(0.99), UncertaintyMeasure::LeastConfidence);
         let sharp = points.mean_uncertainty();
         assert!(vague > sharp);
     }

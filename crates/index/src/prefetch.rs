@@ -18,17 +18,15 @@
 //! between consecutive iterations.
 
 use std::collections::{HashMap, HashSet};
-use std::path::Path;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use crossbeam::channel::{unbounded, Sender};
 use parking_lot::{Condvar, Mutex};
 use uei_storage::cache::SharedChunkCache;
-use uei_storage::io::{DiskTracker, IoProfile, IoStats};
-use uei_storage::merge::{reconstruct_region_with_chunks, ChunkFetch, MergeStats};
+use uei_storage::io::{DiskTracker, IoStats};
+use uei_storage::merge::{reconstruct_region, MergeStats};
 use uei_storage::source::ChunkSource;
-use uei_storage::store::ColumnStore;
 use uei_types::{DataPoint, Result, UeiError};
 
 use crate::grid::{CellId, Grid};
@@ -134,44 +132,18 @@ pub struct Prefetcher {
 }
 
 impl Prefetcher {
-    /// Spawns the worker with no chunk cache — the background thread
-    /// streams chunk-at-a-time, the original layout.
+    /// Spawns the worker over a [`ChunkSource`] handle of its own: the
+    /// source's tracker becomes the background ledger (same data as the
+    /// foreground handle, separate I/O accounting), and the grid and
+    /// mapping are shared by `Arc`. Every chunk the worker reads lands in
+    /// `cache`, so the foreground loader finds a prefetched region's chunks
+    /// already decoded and resident — and chunks the foreground loaded
+    /// earlier serve the worker as hits, charging zero background I/O.
     pub fn spawn(
-        store_dir: &Path,
-        profile: IoProfile,
-        grid: Grid,
-        mapping: ChunkMapping,
-    ) -> Result<Prefetcher> {
-        Prefetcher::spawn_with_cache(store_dir, profile, grid, mapping, None)
-    }
-
-    /// Spawns the worker. It opens its own handle to the store directory
-    /// (same data, separate I/O accounting with `profile`). With `cache`,
-    /// every chunk the worker reads lands in the shared cache, so the
-    /// foreground loader finds a prefetched region's chunks already
-    /// decoded and resident — and chunks the foreground loaded earlier
-    /// serve the worker as hits, charging zero background I/O.
-    pub fn spawn_with_cache(
-        store_dir: &Path,
-        profile: IoProfile,
-        grid: Grid,
-        mapping: ChunkMapping,
-        cache: Option<Arc<SharedChunkCache>>,
-    ) -> Result<Prefetcher> {
-        let tracker = DiskTracker::new(profile);
-        let store: Arc<dyn ChunkSource> = Arc::new(ColumnStore::open(store_dir, tracker)?);
-        Prefetcher::spawn_with_source(store, Arc::new(grid), Arc::new(mapping), cache)
-    }
-
-    /// Spawns the worker over any [`ChunkSource`] handle. The source's own
-    /// tracker becomes the background ledger, and the grid and mapping are
-    /// shared by `Arc` — this is the constructor an `EngineCore` uses to
-    /// give each session a prefetcher without copying any store data.
-    pub fn spawn_with_source(
         source: Arc<dyn ChunkSource>,
         grid: Arc<Grid>,
         mapping: Arc<ChunkMapping>,
-        cache: Option<Arc<SharedChunkCache>>,
+        cache: Arc<SharedChunkCache>,
     ) -> Result<Prefetcher> {
         let tracker = source.tracker().clone();
         let shared: Arc<(Mutex<Shared>, Condvar)> = Arc::new(Default::default());
@@ -185,8 +157,7 @@ impl Prefetcher {
                         Request::Shutdown => break,
                         Request::Load(c) => c,
                     };
-                    let outcome =
-                        load_cell_raw(source.as_ref(), &grid, &mapping, cell, cache.as_deref());
+                    let outcome = load_cell_raw(source.as_ref(), &grid, &mapping, cell, &cache);
                     let (lock, cvar) = &*worker_shared;
                     let mut s = lock.lock();
                     s.pending.remove(&cell);
@@ -329,52 +300,53 @@ fn load_cell_raw(
     grid: &Grid,
     mapping: &ChunkMapping,
     cell: CellId,
-    cache: Option<&SharedChunkCache>,
+    cache: &SharedChunkCache,
 ) -> Result<(Vec<DataPoint>, MergeStats)> {
     let region = grid.cell_region(cell)?;
     let chunks = mapping.chunks_for_cell(grid, cell)?;
-    let fetch = match cache {
-        // Shared mode: fill the cache the foreground also reads from.
-        Some(c) => ChunkFetch::Shared(c),
-        // No cache: the background thread streams chunk-at-a-time.
-        None => ChunkFetch::Uncached,
-    };
-    reconstruct_region_with_chunks(source, &region, &chunks, fetch)
+    // Fill the cache the foreground also reads from. Requests are
+    // independent cells, so there is no previous region to reuse.
+    let (rows, stats, _) = reconstruct_region(source, &region, &chunks, None, &mut |id| {
+        cache.get_or_load(source, id)
+    })?;
+    Ok((rows, stats))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::time::Duration;
-    use uei_storage::store::StoreConfig;
+    use uei_storage::io::IoProfile;
+    use uei_storage::store::ColumnStore;
     use uei_storage::TempDir;
-    use uei_types::{AttributeDef, Rng, Schema};
+
+    /// A prefetcher over its own handle to `store` (fresh background
+    /// tracker) filling `cache`.
+    fn spawn_over(
+        store: &ColumnStore,
+        grid: &Grid,
+        mapping: &ChunkMapping,
+        cache: &Arc<SharedChunkCache>,
+    ) -> Prefetcher {
+        let bg = store.with_tracker(DiskTracker::new(IoProfile::instant()));
+        Prefetcher::spawn(
+            Arc::new(bg),
+            Arc::new(grid.clone()),
+            Arc::new(mapping.clone()),
+            Arc::clone(cache),
+        )
+        .unwrap()
+    }
+
+    fn cache() -> Arc<SharedChunkCache> {
+        Arc::new(SharedChunkCache::new(64 << 20, 4))
+    }
 
     fn build(tag: &str, n: usize) -> (Arc<ColumnStore>, Grid, ChunkMapping, TempDir) {
-        let dir = TempDir::new(&format!("prefetch-{tag}"));
-        let schema = Schema::new(vec![
-            AttributeDef::new("x", 0.0, 100.0).unwrap(),
-            AttributeDef::new("y", 0.0, 100.0).unwrap(),
-        ])
-        .unwrap();
-        let mut rng = Rng::new(2);
-        let rows: Vec<DataPoint> = (0..n)
-            .map(|i| {
-                DataPoint::new(i as u64, vec![rng.range_f64(0.0, 100.0), rng.range_f64(0.0, 100.0)])
-            })
-            .collect();
-        let tracker = DiskTracker::new(IoProfile::instant());
-        let store = ColumnStore::create(
-            dir.path(),
-            schema,
-            &rows,
-            StoreConfig { chunk_target_bytes: 512 },
-            tracker,
-        )
-        .unwrap();
+        let (store, _, dir) = crate::testutil::build_store(tag, n);
         let grid = Grid::new(store.schema(), 3).unwrap();
         let mapping = ChunkMapping::build(&grid, store.manifest()).unwrap();
-        (Arc::new(store), grid, mapping, dir)
+        (store, grid, mapping, dir)
     }
 
     #[test]
@@ -426,14 +398,12 @@ mod tests {
     #[test]
     fn prefetch_matches_synchronous_load() {
         let (store, grid, mapping, _dir) = build("match", 1500);
-        let pre =
-            Prefetcher::spawn(store.dir(), IoProfile::instant(), grid.clone(), mapping.clone())
-                .unwrap();
+        let pre = spawn_over(&store, &grid, &mapping, &cache());
         pre.request(4);
         let (rows, stats) =
             pre.take_blocking(4, Duration::from_secs(10)).expect("prefetch completes");
         let (sync_rows, sync_stats) =
-            load_cell_raw(store.as_ref(), &grid, &mapping, 4, None).unwrap();
+            load_cell_raw(store.as_ref(), &grid, &mapping, 4, &cache()).unwrap();
         assert_eq!(rows, sync_rows);
         assert_eq!(stats.result_rows, sync_stats.result_rows);
         assert!(stats.result_rows > 0);
@@ -443,7 +413,7 @@ mod tests {
     fn background_io_is_tracked_separately() {
         let (store, grid, mapping, _dir) = build("separate", 1000);
         let foreground_before = store.tracker().stats();
-        let pre = Prefetcher::spawn(store.dir(), IoProfile::instant(), grid, mapping).unwrap();
+        let pre = spawn_over(&store, &grid, &mapping, &cache());
         pre.request(0);
         pre.take_blocking(0, Duration::from_secs(10)).unwrap();
         assert!(pre.background_io().bytes_read > 0);
@@ -454,7 +424,7 @@ mod tests {
     #[test]
     fn take_is_one_shot_and_duplicate_requests_coalesce() {
         let (store, grid, mapping, _dir) = build("oneshot", 800);
-        let pre = Prefetcher::spawn(store.dir(), IoProfile::instant(), grid, mapping).unwrap();
+        let pre = spawn_over(&store, &grid, &mapping, &cache());
         pre.request(1);
         pre.request(1);
         pre.request(1);
@@ -465,7 +435,7 @@ mod tests {
     #[test]
     fn take_unrequested_cell_returns_none() {
         let (store, grid, mapping, _dir) = build("unreq", 500);
-        let pre = Prefetcher::spawn(store.dir(), IoProfile::instant(), grid, mapping).unwrap();
+        let pre = spawn_over(&store, &grid, &mapping, &cache());
         assert!(pre.take(7).is_none());
         assert!(pre.take_blocking(7, Duration::from_millis(50)).is_none());
         assert!(!pre.is_pending(7));
@@ -474,7 +444,7 @@ mod tests {
     #[test]
     fn clear_ready_drops_stale_regions() {
         let (store, grid, mapping, _dir) = build("stale", 800);
-        let pre = Prefetcher::spawn(store.dir(), IoProfile::instant(), grid, mapping).unwrap();
+        let pre = spawn_over(&store, &grid, &mapping, &cache());
         pre.request(2);
         // Wait for completion, then clear without taking.
         while pre.is_pending(2) {
@@ -487,7 +457,7 @@ mod tests {
     #[test]
     fn take_blocking_times_out_on_stuck_pending_cell() {
         let (store, grid, mapping, _dir) = build("timeout", 400);
-        let pre = Prefetcher::spawn(store.dir(), IoProfile::instant(), grid, mapping).unwrap();
+        let pre = spawn_over(&store, &grid, &mapping, &cache());
         // Mark a cell pending by hand, bypassing the worker queue: no load
         // will ever complete it, so take_blocking must hit its deadline
         // (deterministically — no race against a real load).
@@ -509,9 +479,7 @@ mod tests {
     #[test]
     fn failed_background_load_reports_failure_and_unblocks() {
         let (store, grid, mapping, dir) = build("fail", 600);
-        let pre =
-            Prefetcher::spawn(store.dir(), IoProfile::instant(), grid.clone(), mapping.clone())
-                .unwrap();
+        let pre = spawn_over(&store, &grid, &mapping, &cache());
         // Remove every chunk file: any background load must error.
         for entry in std::fs::read_dir(dir.path()).unwrap() {
             let path = entry.unwrap().path();
@@ -539,7 +507,7 @@ mod tests {
     #[test]
     fn failure_map_is_capped_and_counter_is_cumulative() {
         let (store, grid, mapping, _dir) = build("cap", 300);
-        let pre = Prefetcher::spawn(store.dir(), IoProfile::instant(), grid, mapping).unwrap();
+        let pre = spawn_over(&store, &grid, &mapping, &cache());
         // Out-of-range cells fail immediately in the worker, giving an
         // unbounded supply of distinct failures without touching disk.
         let total = MAX_FAILED_CELLS + 40;
@@ -563,23 +531,15 @@ mod tests {
     #[test]
     fn shared_cache_keeps_foreground_reads_at_zero() {
         let (store, grid, mapping, _dir) = build("warm", 1500);
-        let cache = Arc::new(SharedChunkCache::new(64 << 20, 4));
-        let pre = Prefetcher::spawn_with_cache(
-            store.dir(),
-            IoProfile::instant(),
-            grid.clone(),
-            mapping.clone(),
-            Some(Arc::clone(&cache)),
-        )
-        .unwrap();
+        let cache = cache();
+        let pre = spawn_over(&store, &grid, &mapping, &cache);
         pre.request(4);
         let (pre_rows, _) = pre.take_blocking(4, Duration::from_secs(10)).unwrap();
         assert!(pre.background_io().bytes_read > 0, "worker paid the reads");
         // Foreground load of the same cell through the shared cache: every
         // chunk is already resident, so zero foreground chunk reads.
         let before = store.tracker().snapshot();
-        let (fg_rows, stats) =
-            load_cell_raw(store.as_ref(), &grid, &mapping, 4, Some(&cache)).unwrap();
+        let (fg_rows, stats) = load_cell_raw(store.as_ref(), &grid, &mapping, 4, &cache).unwrap();
         assert_eq!(fg_rows, pre_rows);
         assert!(stats.chunks_loaded > 0, "chunks came through the cache");
         assert_eq!(
@@ -593,9 +553,47 @@ mod tests {
     fn shutdown_on_drop_is_clean() {
         let (store, grid, mapping, _dir) = build("drop", 300);
         {
-            let pre = Prefetcher::spawn(store.dir(), IoProfile::instant(), grid, mapping).unwrap();
+            let pre = spawn_over(&store, &grid, &mapping, &cache());
             pre.request(0);
             // Drop immediately; worker must exit without deadlock.
         }
+    }
+
+    /// One fault kind at a time on the worker's own tracker, every cell
+    /// requested: the worker does not retry, so transients and corruption
+    /// become recorded failures the foreground routes around, while latency
+    /// spikes only cost background virtual time. Every request ends ready
+    /// or failed, never stuck.
+    #[test]
+    fn injected_faults_fail_or_spare_background_loads_by_kind() {
+        use uei_storage::fault::{FaultConfig, FaultInjector};
+        let (store, grid, mapping, _dir) = build("faultkinds", 3000);
+        let cells: Vec<CellId> = grid.cell_ids().collect();
+        let sweep = |faults: FaultConfig| {
+            let pre = spawn_over(&store, &grid, &mapping, &Arc::new(SharedChunkCache::new(0, 1)));
+            let injector = FaultInjector::new(faults).unwrap();
+            pre.background_tracker().set_fault_injector(Some(Arc::clone(&injector)));
+            for &cell in &cells {
+                pre.request(cell);
+            }
+            let ready = cells
+                .iter()
+                .filter(|&&cell| pre.take_blocking(cell, Duration::from_secs(60)).is_some())
+                .count();
+            let failed = pre.total_failures() as usize;
+            assert_eq!(ready + failed, cells.len(), "every request ends ready or failed");
+            (failed, pre.background_tracker().virtual_elapsed(), injector.stats())
+        };
+
+        let off = FaultConfig { seed: 7, ..FaultConfig::off() };
+        let (failed, _, stats) = sweep(FaultConfig { transient_prob: 0.2, ..off });
+        assert!(stats.transient_errors > 0 && failed > 0, "{failed} failed, {stats:?}");
+        let (failed, _, stats) = sweep(FaultConfig { corrupt_prob: 0.2, ..off });
+        assert!(stats.corruptions > 0 && failed > 0, "{failed} failed, {stats:?}");
+        let (failed, spent, stats) =
+            sweep(FaultConfig { slow_prob: 0.5, slow_penalty_secs: 0.05, ..off });
+        assert!(stats.latency_spikes > 0, "{stats:?}");
+        assert_eq!(failed, 0, "latency spikes must never fail a background load");
+        assert!(spent >= Duration::from_millis(50), "spike penalties reach the background clock");
     }
 }

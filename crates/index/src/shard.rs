@@ -20,11 +20,6 @@ use std::ops::Range;
 
 use uei_types::ShardId;
 
-/// Upper bound on the configured shard count ([`crate::config::UeiConfig`]
-/// validation). Far above any sensible value — shards beyond the core
-/// count only add merge overhead — but bounds the per-shard bookkeeping.
-pub const MAX_SHARDS: usize = 1024;
-
 /// Cells per shard the automatic sizing aims for. Small enough that the
 /// paper-scale grid (3125 cells) stays single-shard — sharding overhead is
 /// pure waste there — while six-figure grids fan out.
@@ -64,8 +59,8 @@ impl ShardLayout {
         ShardLayout { bounds }
     }
 
-    /// The shard count the `shards: 0` config default resolves to:
-    /// one shard per ~`AUTO_CELLS_PER_SHARD` cells, clamped to
+    /// The shard count the engine uses for a plane of `num_cells`: one
+    /// shard per ~`AUTO_CELLS_PER_SHARD` cells, clamped to
     /// `[1, AUTO_MAX_SHARDS]`.
     pub fn auto_shards(num_cells: usize) -> usize {
         (num_cells / AUTO_CELLS_PER_SHARD).clamp(1, AUTO_MAX_SHARDS)
@@ -153,7 +148,7 @@ mod tests {
         assert_eq!(ShardLayout::auto_shards(0), 1);
         assert!(ShardLayout::auto_shards(1 << 20) <= 16);
         assert!(ShardLayout::auto_shards(128 * 1024) >= 8, "big grids fan out");
-        // shards: 0 routes through auto sizing.
+        // A count of 0 routes through auto sizing.
         assert_eq!(ShardLayout::new(3125, 0).num_shards(), 1);
         assert_eq!(
             ShardLayout::new(128 * 1024, 0).num_shards(),

@@ -24,7 +24,7 @@ use uei_learn::strategy::UncertaintyMeasure;
 use uei_learn::Classifier;
 use uei_obs::{FlightEventKind, Phase, SessionTelemetry};
 use uei_storage::cache::SharedChunkCache;
-use uei_storage::io::IoStats;
+use uei_storage::io::{DiskTracker, IoStats};
 use uei_storage::merge::MergeStats;
 use uei_storage::source::ChunkSource;
 use uei_storage::store::ColumnStore;
@@ -49,9 +49,6 @@ pub struct UeiIndex {
     mapping: Arc<ChunkMapping>,
     points: IndexPoints,
     fetcher: RegionFetcher,
-    /// The cache shared between loader and prefetcher, when enabled —
-    /// kept here so stats stay readable regardless of loader internals.
-    shared_cache: Option<Arc<SharedChunkCache>>,
     config: UeiConfig,
     measure: UncertaintyMeasure,
     /// Cumulative rescoring work (model-scored vs cache-served points).
@@ -82,32 +79,16 @@ impl UeiIndex {
         config.validate(store.schema().dims())?;
         let grid = Arc::new(Grid::new(store.schema(), config.cells_per_dim)?);
         let mapping = Arc::new(ChunkMapping::build(&grid, store.manifest())?);
-        let points = IndexPoints::from_grid_with_shards(&grid, config.shards)?;
+        let points = IndexPoints::from_grid(&grid)?;
         let source: Arc<dyn ChunkSource> = Arc::clone(&store) as Arc<dyn ChunkSource>;
-        let shared_cache = config.shared_cache.then(|| {
-            Arc::new(SharedChunkCache::new(config.chunk_cache_bytes, config.cache_shards))
-        });
-        let mut loader = match &shared_cache {
-            Some(cache) => RegionLoader::with_shared(
-                Arc::clone(&source),
-                Arc::clone(cache),
-                config.delta_reconstruction,
-            ),
-            None => {
-                let mut l = RegionLoader::new(Arc::clone(&source), config.chunk_cache_bytes);
-                l.set_delta(config.delta_reconstruction);
-                l
-            }
-        };
+        let cache = Arc::new(SharedChunkCache::with_default_shards(config.chunk_cache_bytes));
+        let mut loader = RegionLoader::with_shared(source, Arc::clone(&cache));
         loader.set_retry_policy(config.retry);
         let prefetcher = if config.prefetch {
-            Some(Prefetcher::spawn_with_cache(
-                store.dir(),
-                store.tracker().profile(),
-                Grid::clone(&grid),
-                ChunkMapping::clone(&mapping),
-                shared_cache.as_ref().map(Arc::clone),
-            )?)
+            // Same store files and catalog, own tracker: background I/O
+            // never perturbs the foreground virtual clock.
+            let bg = store.with_tracker(DiskTracker::new(store.tracker().profile()));
+            Some(Prefetcher::spawn(Arc::new(bg), Arc::clone(&grid), Arc::clone(&mapping), cache)?)
         } else {
             None
         };
@@ -123,7 +104,6 @@ impl UeiIndex {
             mapping,
             points,
             fetcher,
-            shared_cache,
             config,
             measure,
             rescore_stats: RescoreStats::default(),
@@ -134,13 +114,8 @@ impl UeiIndex {
 
     /// Assembles an index from pre-built parts. Used by
     /// [`crate::engine::EngineCore::open_session`], which shares the grid,
-    /// mapping, and chunk cache across sessions; the legacy
+    /// mapping, and chunk cache across sessions; the standalone
     /// [`UeiIndex::build`] path constructs everything itself.
-    ///
-    /// `shared_cache` here is the *stats-reporting* handle: engine sessions
-    /// pass `None` so [`UeiIndex::cache_stats`] reads the session's own
-    /// deterministic ghost ledger instead of the cross-session shared
-    /// counters (which remain reachable via [`UeiIndex::shared_cache`]).
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn from_parts(
         store: Arc<ColumnStore>,
@@ -149,7 +124,6 @@ impl UeiIndex {
         points: IndexPoints,
         loader: RegionLoader,
         prefetcher: Option<Prefetcher>,
-        shared_cache: Option<Arc<SharedChunkCache>>,
         config: UeiConfig,
         measure: UncertaintyMeasure,
         telemetry: SessionTelemetry,
@@ -162,7 +136,6 @@ impl UeiIndex {
             mapping,
             points,
             fetcher,
-            shared_cache,
             config,
             measure,
             rescore_stats: RescoreStats::default(),
@@ -210,27 +183,17 @@ impl UeiIndex {
     }
 
     /// Re-scores every index point with the freshly trained model
-    /// (Algorithm 2 line 17). Also invalidates prefetched regions older
-    /// than the model — the ranking that justified them is gone; keeping
-    /// them would serve regions chosen by a stale boundary.
+    /// (Algorithm 2 line 17): a full pass that also captures the influence
+    /// radii the *next* incremental call prunes against.
+    ///
+    /// Ready-but-untaken prefetches remain valid as *data* (cell contents
+    /// do not change), so they are kept; only their priority was stale, and
+    /// `select_and_load` re-ranks every iteration anyway.
     pub fn update_uncertainty(&mut self, model: &dyn Classifier) {
         let _span = self.telemetry.span(Phase::Rescore);
         self.rescore_passes += 1;
-        let stats = if !self.config.parallel {
-            self.points.update_sequential(model, self.measure);
-            RescoreStats { points_rescored: self.points.len() as u64, points_cached: 0 }
-        } else if self.config.incremental_rescore {
-            // Full pass, but through the tracked path so the influence
-            // radii are captured and the *next* incremental call can prune.
-            self.points.update_tracked(model, self.measure)
-        } else {
-            self.points.update(model, self.measure);
-            RescoreStats { points_rescored: self.points.len() as u64, points_cached: 0 }
-        };
+        let stats = self.points.update_tracked(model, self.measure);
         self.rescore_stats.accumulate(stats);
-        // Note: ready-but-untaken prefetches remain valid as *data* (cell
-        // contents do not change), so they are kept; only their priority
-        // was stale, and `select_and_load` re-ranks every iteration anyway.
     }
 
     /// [`UeiIndex::update_uncertainty`] with locality-pruned invalidation:
@@ -238,25 +201,14 @@ impl UeiIndex {
     /// rescoring pass, and only the index points inside their influence
     /// balls (per the model's [`uei_learn::ModelDelta`]) are rescored — the
     /// rest are served from the score cache. Selection is bit-identical to
-    /// a full rescore; see [`IndexPoints::update_incremental`].
-    ///
-    /// Falls back to the full paths of [`UeiIndex::update_uncertainty`]
-    /// when incremental rescoring (or the batch path) is disabled.
+    /// a full rescore, and models with global updates (NB, SVM,
+    /// committees) fall back to one automatically; see
+    /// [`IndexPoints::update_incremental`].
     pub fn update_uncertainty_incremental(&mut self, model: &dyn Classifier, added: &[&[f64]]) {
-        if !self.config.parallel || !self.config.incremental_rescore {
-            self.update_uncertainty(model);
-            return;
-        }
         let _span = self.telemetry.span(Phase::Rescore);
         self.rescore_passes += 1;
         let pruned_before = self.points.shards_pruned();
-        let stats = self.points.update_incremental(
-            model,
-            self.measure,
-            added,
-            self.config.rescore_margin,
-            self.config.full_rescore_every,
-        );
+        let stats = self.points.update_incremental(model, self.measure, added);
         self.rescore_stats.accumulate(stats);
         let pruned = self.points.shards_pruned() - pruned_before;
         if pruned > 0 {
@@ -319,23 +271,19 @@ impl UeiIndex {
         self.fetcher.loader().recent_load_secs()
     }
 
-    /// Chunk-cache statistics: of the shared cache when sharing is on
-    /// (hits include the prefetcher's), of the private loader cache
-    /// otherwise. Engine-opened sessions report their own deterministic
-    /// ghost-ledger stats; the engine-wide aggregate lives on
-    /// [`crate::engine::EngineCore::cache_stats`].
+    /// Chunk-cache statistics. A standalone index reports its shared
+    /// cache (hits include the prefetcher's); engine-opened sessions report
+    /// their own deterministic ghost-ledger stats, and the engine-wide
+    /// aggregate lives on [`crate::engine::EngineCore::cache_stats`].
     pub fn cache_stats(&self) -> uei_storage::cache::CacheStats {
-        match &self.shared_cache {
-            Some(c) => c.stats(),
-            None => self.fetcher.loader().cache_stats(),
-        }
+        self.fetcher.loader().cache_stats()
     }
 
-    /// The cache shared between loader and prefetcher, when enabled. For
-    /// engine-opened sessions this is the engine-wide shared cache reached
-    /// through the session's ghost view.
-    pub fn shared_cache(&self) -> Option<&Arc<SharedChunkCache>> {
-        self.shared_cache.as_ref().or_else(|| self.fetcher.loader().shared_cache())
+    /// The cache shared between loader and prefetcher. For engine-opened
+    /// sessions this is the engine-wide shared cache reached through the
+    /// session's ghost view.
+    pub fn shared_cache(&self) -> &Arc<SharedChunkCache> {
+        self.fetcher.loader().shared_cache()
     }
 
     /// Background I/O accumulated by the prefetcher, if enabled.
@@ -394,23 +342,43 @@ mod tests {
     }
 
     #[test]
-    fn sharded_sessions_select_identically() {
-        // The headline determinism claim at the facade level: the same
-        // store and model produce the same selection at every shard count.
-        let (store, _, _dir) = build_store("shardsel", 2000);
-        let mut reference =
-            UeiIndex::build(Arc::clone(&store), UeiConfig { shards: 1, ..small_config() }).unwrap();
-        reference.update_uncertainty(&boundary_model(42.0));
-        let want = reference.select_and_load().unwrap().cell;
-        let ranked = reference.points().ranked_top(16).unwrap();
-        for shards in [2, 4, 8] {
-            let mut index =
-                UeiIndex::build(Arc::clone(&store), UeiConfig { shards, ..small_config() })
-                    .unwrap();
-            index.update_uncertainty(&boundary_model(42.0));
-            assert_eq!(index.select_and_load().unwrap().cell, want, "{shards} shards");
-            assert_eq!(index.points().ranked_top(16).unwrap(), ranked, "{shards} shards");
+    fn auto_sharded_session_ranks_like_the_global_reference() {
+        use uei_learn::Dwknn;
+        use uei_types::Label;
+        // 91² = 8281 cells: enough for the automatic sizing to shard the
+        // plane, so every iteration's cached per-shard merge is checked
+        // against the uncached global ranking on a real session.
+        let (store, _, _dir) = build_store("autoshard", 2000);
+        let engine = crate::engine::EngineCore::new(
+            Arc::clone(&store),
+            UeiConfig { cells_per_dim: 91, ..UeiConfig::default() },
+        )
+        .unwrap();
+        let mut index = engine.open_session().unwrap();
+        assert!(index.points().num_shards() >= 2, "{} shards", index.points().num_shards());
+
+        let mut examples: Vec<(Vec<f64>, Label)> = Vec::new();
+        for i in 0..4 {
+            for j in 0..4 {
+                let p = vec![i as f64 * 25.0 + 12.0, j as f64 * 25.0 + 13.0];
+                examples.push((p, Label::from_bool((i + j) % 2 == 0)));
+            }
         }
+        let theta = 16;
+        let mut last_added: Option<Vec<f64>> = None;
+        for step in 0..6 {
+            let model = Dwknn::fit(3, &examples).unwrap();
+            let added: Vec<&[f64]> = last_added.iter().map(|p| p.as_slice()).collect();
+            index.update_uncertainty_incremental(&model, &added);
+            let global = index.points.ranked_top(theta).unwrap();
+            assert_eq!(index.points.ranked_top_cached(theta).unwrap(), global, "step {step}");
+            assert_eq!(index.select_and_load().unwrap().cell, global[0], "step {step}");
+            // The next label lands in the region just served.
+            let p = index.points().center(global[0]).unwrap().to_vec();
+            examples.push((p.clone(), Label::from_bool(step % 2 == 0)));
+            last_added = Some(p);
+        }
+        assert!(index.rescore_counters().points_cached > 0, "later passes were incremental");
     }
 
     #[test]
@@ -467,8 +435,8 @@ mod tests {
         use uei_types::Label;
         let (store, _, _dir) = build_store("increscore", 1500);
         let mut inc = UeiIndex::build(Arc::clone(&store), small_config()).unwrap();
-        let full_cfg = UeiConfig { incremental_rescore: false, ..small_config() };
-        let mut full = UeiIndex::build(Arc::clone(&store), full_cfg).unwrap();
+        // The reference takes the full pass every step.
+        let mut full = UeiIndex::build(Arc::clone(&store), small_config()).unwrap();
 
         // Labeled examples spread across the whole 0..100 domain.
         let mut examples: Vec<(Vec<f64>, Label)> = Vec::new();
@@ -502,19 +470,6 @@ mod tests {
         let counters = inc.rescore_counters();
         assert!(counters.points_cached > 0, "locality pruning served some points: {counters:?}");
         assert_eq!(counters.points_rescored + counters.points_cached, 5 * 16);
-        assert_eq!(full.rescore_counters().points_cached, 0, "full mode never caches");
-    }
-
-    #[test]
-    fn shared_cache_off_restores_private_layout() {
-        let (store, _, _dir) = build_store("nosharing", 800);
-        let config =
-            UeiConfig { shared_cache: false, delta_reconstruction: false, ..small_config() };
-        let mut index = UeiIndex::build(Arc::clone(&store), config).unwrap();
-        assert!(index.shared_cache().is_none());
-        index.update_uncertainty(&boundary_model(50.0));
-        let load = index.select_and_load().unwrap();
-        assert!(!load.rows.is_empty());
-        assert!(index.cache_stats().misses > 0, "private loader cache used");
+        assert_eq!(full.rescore_counters().points_cached, 0, "full passes never cache");
     }
 }

@@ -1,5 +1,6 @@
 //! Property-based tests for the index: grid partition invariants, mapping
-//! completeness, and region loads vs brute force.
+//! completeness, region loads vs brute force, and shard-count-invariant
+//! ranking.
 
 use std::sync::Arc;
 
@@ -7,9 +8,13 @@ use proptest::prelude::*;
 use uei_index::grid::Grid;
 use uei_index::loader::RegionLoader;
 use uei_index::mapping::ChunkMapping;
+use uei_index::points::IndexPoints;
+use uei_learn::strategy::UncertaintyMeasure;
+use uei_learn::{EstimatorKind, MinMaxScaler, ScaledClassifier};
+use uei_storage::cache::SharedChunkCache;
 use uei_storage::io::{DiskTracker, IoProfile};
 use uei_storage::store::{ColumnStore, StoreConfig};
-use uei_types::{AttributeDef, DataPoint, Schema};
+use uei_types::{AttributeDef, DataPoint, Label, Rng, Schema};
 
 fn schema2(x_max: f64, y_max: f64) -> Schema {
     Schema::new(vec![
@@ -79,8 +84,10 @@ proptest! {
             StoreConfig { chunk_target_bytes: chunk_bytes }, tracker).unwrap());
         let grid = Grid::new(store.schema(), cells).unwrap();
         let mapping = ChunkMapping::build(&grid, store.manifest()).unwrap();
-        let mut loader =
-            RegionLoader::new(Arc::clone(&store) as Arc<dyn uei_storage::ChunkSource>, 1 << 20);
+        let mut loader = RegionLoader::with_shared(
+            Arc::clone(&store) as Arc<dyn uei_storage::ChunkSource>,
+            Arc::new(SharedChunkCache::with_default_shards(1 << 20)),
+        );
 
         let mut total = 0usize;
         let mut seen = std::collections::HashSet::new();
@@ -127,6 +134,73 @@ proptest! {
                     .map(|m| m.id())
                     .collect();
                 prop_assert_eq!(got, &want);
+            }
+        }
+    }
+
+    /// The shard count is invisible to selection: for every estimator kind
+    /// (kNN-family incremental deltas, NB/SVM global fallbacks), a label
+    /// trajectory rescored at 2, 4 and 8 shards holds bit-identical scores
+    /// to the single-shard plane, and each iteration's cached per-shard
+    /// top-θ merge equals the reference's uncached global ranking.
+    #[test]
+    fn ranking_is_identical_at_every_shard_count(seed in 0u64..1_000, theta in 1usize..40) {
+        const ESTIMATORS: [EstimatorKind; 4] = [
+            EstimatorKind::Dwknn { k: 3 },
+            EstimatorKind::Knn { k: 3 },
+            EstimatorKind::NaiveBayes,
+            EstimatorKind::LinearSvm { epochs: 30, lambda: 0.01 },
+        ];
+        let schema = Schema::new(vec![
+            AttributeDef::new("x", 0.0, 50.0).unwrap(),
+            AttributeDef::new("y", -25.0, 25.0).unwrap(),
+            AttributeDef::new("z", 100.0, 400.0).unwrap(),
+        ]).unwrap();
+        let grid = Grid::new(&schema, 6).unwrap();
+        let measure = UncertaintyMeasure::LeastConfidence;
+        let mut rng = Rng::new(seed);
+        let draw = |rng: &mut Rng| {
+            vec![rng.range_f64(0.0, 50.0), rng.range_f64(-25.0, 25.0), rng.range_f64(100.0, 400.0)]
+        };
+        for estimator in ESTIMATORS {
+            let mut examples: Vec<(Vec<f64>, Label)> = (0..8)
+                .map(|i| (draw(&mut rng), Label::from_bool(i % 2 == 0)))
+                .collect();
+            let mut reference = IndexPoints::from_grid_with_shards(&grid, 1).unwrap();
+            let mut sharded: Vec<IndexPoints> = [2, 4, 8]
+                .iter()
+                .map(|&s| IndexPoints::from_grid_with_shards(&grid, s).unwrap())
+                .collect();
+            let mut added: Vec<Vec<f64>> = Vec::new();
+            for step in 0..6 {
+                let model = ScaledClassifier::train(
+                    estimator, MinMaxScaler::from_schema(&schema), &examples).unwrap();
+                let added_refs: Vec<&[f64]> = added.iter().map(|p| p.as_slice()).collect();
+                reference.update_incremental(&model, measure, &added_refs);
+                let want = reference.ranked_top(theta).unwrap();
+                for points in &mut sharded {
+                    points.update_incremental(&model, measure, &added_refs);
+                    for id in 0..points.len() {
+                        prop_assert_eq!(
+                            points.uncertainty(id).unwrap().to_bits(),
+                            reference.uncertainty(id).unwrap().to_bits(),
+                            "{:?} step {} cell {} at {} shards",
+                            estimator, step, id, points.num_shards()
+                        );
+                    }
+                    prop_assert_eq!(
+                        &points.ranked_top_cached(theta).unwrap(),
+                        &want,
+                        "{:?} step {} at {} shards", estimator, step, points.num_shards()
+                    );
+                }
+                // One or two new labels per retrain, like a batched loop.
+                added.clear();
+                for i in 0..1 + step % 2 {
+                    let p = draw(&mut rng);
+                    examples.push((p.clone(), Label::from_bool((step + i) % 2 == 0)));
+                    added.push(p);
+                }
             }
         }
     }

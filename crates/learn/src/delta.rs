@@ -90,35 +90,30 @@ pub fn dist2(a: &[f64], b: &[f64]) -> f64 {
 }
 
 /// The shared kNN-family delta: `dirty[i]` iff some added example falls
-/// strictly inside query `i`'s (margin-inflated) influence ball, or the
-/// query's radius is unknown/unbounded.
+/// strictly inside query `i`'s influence ball, or the query's radius is
+/// unknown/unbounded.
 ///
-/// `margin ≥ 0` inflates every radius by `(1 + margin)` — a safety factor
-/// that can only *add* dirty points, never hide one, so any margin keeps
-/// the delta sound. Dimension disagreements between `points` and `added`
-/// degrade to [`ModelDelta::Global`] rather than guess.
+/// Dimension disagreements between `points` and `added` degrade to
+/// [`ModelDelta::Global`] rather than guess.
 pub fn knn_influence_delta(
     points: &[&[f64]],
     radii2: &[f64],
     added: &[&[f64]],
-    margin: f64,
     parallel_threshold: usize,
 ) -> ModelDelta {
-    if radii2.len() != points.len() || !(margin >= 0.0) || !margin.is_finite() {
+    if radii2.len() != points.len() {
         return ModelDelta::Global;
     }
     let dims = points.first().map_or(0, |p| p.len());
     if points.iter().chain(added).any(|p| p.len() != dims) {
         return ModelDelta::Global;
     }
-    let inflate = (1.0 + margin) * (1.0 + margin);
     let compute = |i: usize| -> bool {
         let r2 = radii2[i];
         if !r2.is_finite() {
             return true;
         }
-        let bound = r2 * inflate;
-        added.iter().any(|a| dist2(points[i], a) < bound)
+        added.iter().any(|a| dist2(points[i], a) < r2)
     };
     let dirty: Vec<bool> = if crate::batch::should_parallelize_at(points.len(), parallel_threshold)
     {
@@ -141,24 +136,16 @@ const FLAT_DELTA_BLOCK: usize = 1024;
 ///
 /// The dirty mask is *identical* to the slice-of-refs variant: each
 /// squared distance is accumulated in the same ascending-dimension order,
-/// and the strict `<` comparison against the inflated radius is the same
+/// and the strict `<` comparison against the radius is the same
 /// predicate — only the iteration order over (point, added) pairs differs,
 /// and a boolean OR is order-independent.
 pub fn knn_influence_delta_flat(
     points: &PointMatrix,
     radii2: &[f64],
     added: &[&[f64]],
-    margin: f64,
     parallel_threshold: usize,
 ) -> ModelDelta {
-    knn_influence_delta_flat_range(
-        points,
-        0..points.len(),
-        radii2,
-        added,
-        margin,
-        parallel_threshold,
-    )
+    knn_influence_delta_flat_range(points, 0..points.len(), radii2, added, parallel_threshold)
 }
 
 /// [`knn_influence_delta_flat`] restricted to the row range `rows` of the
@@ -176,21 +163,19 @@ pub fn knn_influence_delta_flat_range(
     rows: std::ops::Range<usize>,
     radii2: &[f64],
     added: &[&[f64]],
-    margin: f64,
     parallel_threshold: usize,
 ) -> ModelDelta {
     if rows.start > rows.end || rows.end > points.len() {
         return ModelDelta::Global;
     }
     let n = rows.len();
-    if radii2.len() != n || !(margin >= 0.0) || !margin.is_finite() {
+    if radii2.len() != n {
         return ModelDelta::Global;
     }
     let dims = points.dims();
     if added.iter().any(|a| a.len() != dims) {
         return ModelDelta::Global;
     }
-    let inflate = (1.0 + margin) * (1.0 + margin);
     let flat = points.as_flat();
     let base = rows.start;
     // `lo`/`hi` are offsets within the range; the flat buffer is addressed
@@ -208,7 +193,7 @@ pub fn knn_influence_delta_flat_range(
             }
             for (j, &d2) in dists.iter().enumerate() {
                 let r2 = radii2[lo + j];
-                if !dirty[j] && r2.is_finite() && d2 < r2 * inflate {
+                if !dirty[j] && r2.is_finite() && d2 < r2 {
                     dirty[j] = true;
                 }
             }
@@ -247,7 +232,7 @@ mod tests {
         let radii2 = [4.0, 4.0, 150.0]; // last radius covers the new point
         let added = [vec![1.0, 0.0]];
         let added_refs: Vec<&[f64]> = added.iter().map(|p| p.as_slice()).collect();
-        let delta = knn_influence_delta(&refs, &radii2, &added_refs, 0.0, usize::MAX);
+        let delta = knn_influence_delta(&refs, &radii2, &added_refs, usize::MAX);
         assert_eq!(delta, ModelDelta::Dirty(vec![true, false, true]));
         assert_eq!(delta.dirty_count(3), 2);
     }
@@ -260,11 +245,8 @@ mod tests {
         let refs: Vec<&[f64]> = points.iter().map(|p| p.as_slice()).collect();
         let added = [vec![2.0]];
         let added_refs: Vec<&[f64]> = added.iter().map(|p| p.as_slice()).collect();
-        let delta = knn_influence_delta(&refs, &[4.0], &added_refs, 0.0, usize::MAX);
+        let delta = knn_influence_delta(&refs, &[4.0], &added_refs, usize::MAX);
         assert_eq!(delta, ModelDelta::Dirty(vec![false]));
-        // A margin inflates the ball and flips it dirty — margins only add.
-        let delta = knn_influence_delta(&refs, &[4.0], &added_refs, 0.1, usize::MAX);
-        assert_eq!(delta, ModelDelta::Dirty(vec![true]));
     }
 
     #[test]
@@ -273,7 +255,7 @@ mod tests {
         let refs: Vec<&[f64]> = points.iter().map(|p| p.as_slice()).collect();
         let added = [vec![1e9]];
         let added_refs: Vec<&[f64]> = added.iter().map(|p| p.as_slice()).collect();
-        let delta = knn_influence_delta(&refs, &[f64::INFINITY], &added_refs, 0.0, usize::MAX);
+        let delta = knn_influence_delta(&refs, &[f64::INFINITY], &added_refs, usize::MAX);
         assert_eq!(delta, ModelDelta::Dirty(vec![true]));
     }
 
@@ -284,21 +266,16 @@ mod tests {
         let ragged = [vec![1.0]];
         let ragged_refs: Vec<&[f64]> = ragged.iter().map(|p| p.as_slice()).collect();
         // Radii length mismatch.
-        assert_eq!(knn_influence_delta(&refs, &[], &ragged_refs, 0.0, 256), ModelDelta::Global);
+        assert_eq!(knn_influence_delta(&refs, &[], &ragged_refs, 256), ModelDelta::Global);
         // Added point of the wrong dimensionality.
-        assert_eq!(knn_influence_delta(&refs, &[1.0], &ragged_refs, 0.0, 256), ModelDelta::Global);
-        // Invalid margins.
-        let ok = [vec![1.0, 1.0]];
-        let ok_refs: Vec<&[f64]> = ok.iter().map(|p| p.as_slice()).collect();
-        assert_eq!(knn_influence_delta(&refs, &[1.0], &ok_refs, -0.5, 256), ModelDelta::Global);
-        assert_eq!(knn_influence_delta(&refs, &[1.0], &ok_refs, f64::NAN, 256), ModelDelta::Global);
+        assert_eq!(knn_influence_delta(&refs, &[1.0], &ragged_refs, 256), ModelDelta::Global);
     }
 
     #[test]
     fn no_added_points_means_all_clean() {
         let points: Vec<Vec<f64>> = vec![vec![0.0], vec![5.0]];
         let refs: Vec<&[f64]> = points.iter().map(|p| p.as_slice()).collect();
-        let delta = knn_influence_delta(&refs, &[1.0, 1.0], &[], 0.0, 256);
+        let delta = knn_influence_delta(&refs, &[1.0, 1.0], &[], 256);
         assert_eq!(delta, ModelDelta::Dirty(vec![false, false]));
     }
 
@@ -318,28 +295,18 @@ mod tests {
         let matrix = PointMatrix::from_rows(&points).unwrap();
         let added = [vec![0.5, -0.5], vec![-3.0, 3.0]];
         let added_refs: Vec<&[f64]> = added.iter().map(|p| p.as_slice()).collect();
-        for margin in [0.0, 0.25] {
-            let want = knn_influence_delta(&refs, &radii2, &added_refs, margin, usize::MAX);
-            // Exercise both the sequential and the parallel flat path.
-            for threshold in [usize::MAX, 1] {
-                let got =
-                    knn_influence_delta_flat(&matrix, &radii2, &added_refs, margin, threshold);
-                assert_eq!(got, want, "margin {margin}, threshold {threshold}");
-            }
+        let want = knn_influence_delta(&refs, &radii2, &added_refs, usize::MAX);
+        // Exercise both the sequential and the parallel flat path.
+        for threshold in [usize::MAX, 1] {
+            let got = knn_influence_delta_flat(&matrix, &radii2, &added_refs, threshold);
+            assert_eq!(got, want, "threshold {threshold}");
         }
         // Degenerate inputs degrade to Global exactly like the ref variant.
         let bad = [vec![1.0]];
         let bad_refs: Vec<&[f64]> = bad.iter().map(|p| p.as_slice()).collect();
+        assert_eq!(knn_influence_delta_flat(&matrix, &radii2, &bad_refs, 256), ModelDelta::Global);
         assert_eq!(
-            knn_influence_delta_flat(&matrix, &radii2, &bad_refs, 0.0, 256),
-            ModelDelta::Global
-        );
-        assert_eq!(
-            knn_influence_delta_flat(&matrix, &radii2[1..], &added_refs, 0.0, 256),
-            ModelDelta::Global
-        );
-        assert_eq!(
-            knn_influence_delta_flat(&matrix, &radii2, &added_refs, f64::NAN, 256),
+            knn_influence_delta_flat(&matrix, &radii2[1..], &added_refs, 256),
             ModelDelta::Global
         );
     }
@@ -359,7 +326,7 @@ mod tests {
         let added = [vec![0.25, -0.75], vec![2.0, 2.0]];
         let added_refs: Vec<&[f64]> = added.iter().map(|p| p.as_slice()).collect();
         let ModelDelta::Dirty(want) =
-            knn_influence_delta_flat(&matrix, &radii2, &added_refs, 0.1, usize::MAX)
+            knn_influence_delta_flat(&matrix, &radii2, &added_refs, usize::MAX)
         else {
             panic!("flat delta must prune");
         };
@@ -375,7 +342,6 @@ mod tests {
                         lo..hi,
                         &radii2[lo..hi],
                         &added_refs,
-                        0.1,
                         threshold,
                     ) {
                         ModelDelta::Dirty(mask) => got.extend(mask),
@@ -389,15 +355,15 @@ mod tests {
         #[allow(clippy::reversed_empty_ranges)]
         let reversed = 5..3;
         assert_eq!(
-            knn_influence_delta_flat_range(&matrix, reversed, &[], &added_refs, 0.0, 256),
+            knn_influence_delta_flat_range(&matrix, reversed, &[], &added_refs, 256),
             ModelDelta::Global
         );
         assert_eq!(
-            knn_influence_delta_flat_range(&matrix, 0..n + 1, &radii2, &added_refs, 0.0, 256),
+            knn_influence_delta_flat_range(&matrix, 0..n + 1, &radii2, &added_refs, 256),
             ModelDelta::Global
         );
         assert_eq!(
-            knn_influence_delta_flat_range(&matrix, 0..4, &radii2[..3], &added_refs, 0.0, 256),
+            knn_influence_delta_flat_range(&matrix, 0..4, &radii2[..3], &added_refs, 256),
             ModelDelta::Global
         );
     }

@@ -187,14 +187,8 @@ impl Classifier for Dwknn {
         ScoredBatch { probs, radii2: Some(radii2) }
     }
 
-    fn model_delta(
-        &self,
-        points: &[&[f64]],
-        radii2: &[f64],
-        added: &[&[f64]],
-        margin: f64,
-    ) -> ModelDelta {
-        knn_influence_delta(points, radii2, added, margin, self.parallel_batch_threshold())
+    fn model_delta(&self, points: &[&[f64]], radii2: &[f64], added: &[&[f64]]) -> ModelDelta {
+        knn_influence_delta(points, radii2, added, self.parallel_batch_threshold())
     }
 
     fn model_delta_matrix(
@@ -202,9 +196,8 @@ impl Classifier for Dwknn {
         points: &PointMatrix,
         radii2: &[f64],
         added: &[&[f64]],
-        margin: f64,
     ) -> ModelDelta {
-        knn_influence_delta_flat(points, radii2, added, margin, self.parallel_batch_threshold())
+        knn_influence_delta_flat(points, radii2, added, self.parallel_batch_threshold())
     }
 
     fn model_delta_matrix_range(
@@ -213,14 +206,12 @@ impl Classifier for Dwknn {
         rows: std::ops::Range<usize>,
         radii2: &[f64],
         added: &[&[f64]],
-        margin: f64,
     ) -> ModelDelta {
         crate::delta::knn_influence_delta_flat_range(
             points,
             rows,
             radii2,
             added,
-            margin,
             self.parallel_batch_threshold(),
         )
     }
@@ -398,7 +389,7 @@ mod tests {
         let b = Dwknn::fit(3, &extended).unwrap();
 
         let added_refs: Vec<&[f64]> = vec![new_point.as_slice()];
-        let delta = b.model_delta(&refs, &radii2, &added_refs, 0.0);
+        let delta = b.model_delta(&refs, &radii2, &added_refs);
         let crate::delta::ModelDelta::Dirty(mask) = delta else {
             panic!("kNN-family deltas are spatial");
         };

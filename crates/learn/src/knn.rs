@@ -118,14 +118,8 @@ impl Classifier for Knn {
         ScoredBatch { probs, radii2: Some(radii2) }
     }
 
-    fn model_delta(
-        &self,
-        points: &[&[f64]],
-        radii2: &[f64],
-        added: &[&[f64]],
-        margin: f64,
-    ) -> ModelDelta {
-        knn_influence_delta(points, radii2, added, margin, self.parallel_batch_threshold())
+    fn model_delta(&self, points: &[&[f64]], radii2: &[f64], added: &[&[f64]]) -> ModelDelta {
+        knn_influence_delta(points, radii2, added, self.parallel_batch_threshold())
     }
 
     fn model_delta_matrix(
@@ -133,9 +127,8 @@ impl Classifier for Knn {
         points: &PointMatrix,
         radii2: &[f64],
         added: &[&[f64]],
-        margin: f64,
     ) -> ModelDelta {
-        knn_influence_delta_flat(points, radii2, added, margin, self.parallel_batch_threshold())
+        knn_influence_delta_flat(points, radii2, added, self.parallel_batch_threshold())
     }
 
     fn model_delta_matrix_range(
@@ -144,14 +137,12 @@ impl Classifier for Knn {
         rows: std::ops::Range<usize>,
         radii2: &[f64],
         added: &[&[f64]],
-        margin: f64,
     ) -> ModelDelta {
         crate::delta::knn_influence_delta_flat_range(
             points,
             rows,
             radii2,
             added,
-            margin,
             self.parallel_batch_threshold(),
         )
     }
@@ -235,7 +226,7 @@ mod tests {
         let far = [vec![100.0, 100.0]];
         let far_refs: Vec<&[f64]> = far.iter().map(|p| p.as_slice()).collect();
         let tracked = model.predict_proba_batch_tracked(&refs);
-        let delta = model.model_delta(&refs, tracked.radii2.as_ref().unwrap(), &far_refs, 0.0);
+        let delta = model.model_delta(&refs, tracked.radii2.as_ref().unwrap(), &far_refs);
         assert_eq!(delta.dirty_count(refs.len()), 0);
     }
 

@@ -51,20 +51,12 @@ pub trait Classifier: Send + Sync {
     ///
     /// `radii2` are the influence radii the *previous* scoring pass
     /// captured via [`Self::predict_proba_batch_tracked`] (same length and
-    /// order as `points`); `margin ≥ 0` inflates each influence ball by
-    /// `1 + margin` as a safety factor. The contract: a point reported
-    /// clean must produce a bit-identical posterior under `self`. The
-    /// default is the conservative [`ModelDelta::Global`] — correct for
-    /// every model, incremental for none; the kNN family overrides it with
-    /// the strict influence-ball test of
-    /// [`crate::delta::knn_influence_delta`].
-    fn model_delta(
-        &self,
-        _points: &[&[f64]],
-        _radii2: &[f64],
-        _added: &[&[f64]],
-        _margin: f64,
-    ) -> ModelDelta {
+    /// order as `points`). The contract: a point reported clean must
+    /// produce a bit-identical posterior under `self`. The default is the
+    /// conservative [`ModelDelta::Global`] — correct for every model,
+    /// incremental for none; the kNN family overrides it with the strict
+    /// influence-ball test of [`crate::delta::knn_influence_delta`].
+    fn model_delta(&self, _points: &[&[f64]], _radii2: &[f64], _added: &[&[f64]]) -> ModelDelta {
         ModelDelta::Global
     }
 
@@ -82,10 +74,9 @@ pub trait Classifier: Send + Sync {
         points: &PointMatrix,
         radii2: &[f64],
         added: &[&[f64]],
-        margin: f64,
     ) -> ModelDelta {
         let refs = points.row_refs();
-        self.model_delta(&refs, radii2, added, margin)
+        self.model_delta(&refs, radii2, added)
     }
 
     /// [`Self::model_delta_matrix`] restricted to the row range `rows` —
@@ -108,13 +99,12 @@ pub trait Classifier: Send + Sync {
         rows: std::ops::Range<usize>,
         radii2: &[f64],
         added: &[&[f64]],
-        margin: f64,
     ) -> ModelDelta {
         if rows.start > rows.end || rows.end > points.len() {
             return ModelDelta::Global;
         }
         let refs: Vec<&[f64]> = rows.map(|i| points.row(i)).collect();
-        self.model_delta(&refs, radii2, added, margin)
+        self.model_delta(&refs, radii2, added)
     }
 
     /// The image of `x` in the model's *influence space* — the space its
@@ -124,16 +114,15 @@ pub trait Classifier: Send + Sync {
     ///
     /// The contract mirrors [`Self::model_delta`]: whenever a query `p`
     /// and an added example `a` both map to `Some` position, and the
-    /// squared Euclidean distance between those positions is at least
-    /// `r2 * (1 + margin)²` for the finite radius `r2` that
-    /// [`Self::predict_proba_batch_tracked`] reported for `p`, the delta
-    /// must report `p` clean with respect to `a`. Callers use this for
-    /// conservative geometric pre-filtering (the sharded index plane skips
-    /// whole shards that no inflated influence ball can reach); returning
-    /// `None` merely disables that pruning, so the default is always
-    /// sound. Implementations must return `None` for inputs the delta
-    /// path would refuse (wrong dimensionality, untransformable rows)
-    /// rather than guess.
+    /// squared Euclidean distance between those positions is at least the
+    /// finite radius `r2` that [`Self::predict_proba_batch_tracked`]
+    /// reported for `p`, the delta must report `p` clean with respect to
+    /// `a`. Callers use this for conservative geometric pre-filtering (the
+    /// sharded index plane skips whole shards that no influence ball can
+    /// reach); returning `None` merely disables that pruning, so the
+    /// default is always sound. Implementations must return `None` for
+    /// inputs the delta path would refuse (wrong dimensionality,
+    /// untransformable rows) rather than guess.
     fn influence_position(&self, _x: &[f64]) -> Option<Vec<f64>> {
         None
     }
@@ -193,23 +182,16 @@ impl<C: Classifier + ?Sized> Classifier for Box<C> {
     fn predict_proba_batch_tracked(&self, xs: &[&[f64]]) -> ScoredBatch {
         (**self).predict_proba_batch_tracked(xs)
     }
-    fn model_delta(
-        &self,
-        points: &[&[f64]],
-        radii2: &[f64],
-        added: &[&[f64]],
-        margin: f64,
-    ) -> ModelDelta {
-        (**self).model_delta(points, radii2, added, margin)
+    fn model_delta(&self, points: &[&[f64]], radii2: &[f64], added: &[&[f64]]) -> ModelDelta {
+        (**self).model_delta(points, radii2, added)
     }
     fn model_delta_matrix(
         &self,
         points: &PointMatrix,
         radii2: &[f64],
         added: &[&[f64]],
-        margin: f64,
     ) -> ModelDelta {
-        (**self).model_delta_matrix(points, radii2, added, margin)
+        (**self).model_delta_matrix(points, radii2, added)
     }
     fn model_delta_matrix_range(
         &self,
@@ -217,9 +199,8 @@ impl<C: Classifier + ?Sized> Classifier for Box<C> {
         rows: std::ops::Range<usize>,
         radii2: &[f64],
         added: &[&[f64]],
-        margin: f64,
     ) -> ModelDelta {
-        (**self).model_delta_matrix_range(points, rows, radii2, added, margin)
+        (**self).model_delta_matrix_range(points, rows, radii2, added)
     }
     fn influence_position(&self, x: &[f64]) -> Option<Vec<f64>> {
         (**self).influence_position(x)
@@ -379,9 +360,9 @@ mod tests {
         assert!(tracked.radii2.is_none(), "a global model reports no influence radii");
         // Without radii the delta must be invalidate-all, no matter what
         // was (or wasn't) added.
-        assert_eq!(model.model_delta(&xs, &[], &[], 0.0), crate::delta::ModelDelta::Global);
+        assert_eq!(model.model_delta(&xs, &[], &[]), crate::delta::ModelDelta::Global);
         let boxed: Box<dyn Classifier> = Box::new(Constant(0.3));
-        assert_eq!(boxed.model_delta(&xs, &[], &xs, 0.5), crate::delta::ModelDelta::Global);
+        assert_eq!(boxed.model_delta(&xs, &[], &xs), crate::delta::ModelDelta::Global);
         assert!(boxed.predict_proba_batch_tracked(&xs).radii2.is_none());
         // No spatial structure, no influence space: geometric prefiltering
         // stays disabled by default.

@@ -224,7 +224,6 @@ impl crate::model::Classifier for ScaledClassifier {
         points: &[&[f64]],
         radii2: &[f64],
         added: &[&[f64]],
-        margin: f64,
     ) -> crate::delta::ModelDelta {
         // Radii were produced by the inner model in *scaled* space, so the
         // geometry test must run there too. An added example that cannot be
@@ -254,7 +253,7 @@ impl crate::model::Classifier for ScaledClassifier {
             }
         }
         let added_refs: Vec<&[f64]> = scaled_added.iter().map(|z| z.as_slice()).collect();
-        match self.inner.model_delta_matrix(&scaled_points, &valid_radii, &added_refs, margin) {
+        match self.inner.model_delta_matrix(&scaled_points, &valid_radii, &added_refs) {
             crate::delta::ModelDelta::Global => crate::delta::ModelDelta::Global,
             crate::delta::ModelDelta::Dirty(sub) => {
                 let mut mask = vec![true; points.len()];
@@ -271,7 +270,6 @@ impl crate::model::Classifier for ScaledClassifier {
         points: &PointMatrix,
         radii2: &[f64],
         added: &[&[f64]],
-        margin: f64,
     ) -> crate::delta::ModelDelta {
         // The matrix guarantees uniform dimensionality, so either every row
         // transforms or none does — no per-row validity splicing needed.
@@ -297,7 +295,7 @@ impl crate::model::Classifier for ScaledClassifier {
             }
         }
         let added_refs: Vec<&[f64]> = scaled_added.iter().map(|z| z.as_slice()).collect();
-        self.inner.model_delta_matrix(&scaled, radii2, &added_refs, margin)
+        self.inner.model_delta_matrix(&scaled, radii2, &added_refs)
     }
 
     fn model_delta_matrix_range(
@@ -306,7 +304,6 @@ impl crate::model::Classifier for ScaledClassifier {
         rows: std::ops::Range<usize>,
         radii2: &[f64],
         added: &[&[f64]],
-        margin: f64,
     ) -> crate::delta::ModelDelta {
         // Same geometry-in-scaled-space argument as the full-matrix form,
         // but only the range's rows are transformed: the shard-parallel
@@ -339,7 +336,7 @@ impl crate::model::Classifier for ScaledClassifier {
         }
         let added_refs: Vec<&[f64]> = scaled_added.iter().map(|z| z.as_slice()).collect();
         let len = scaled.len();
-        self.inner.model_delta_matrix_range(&scaled, 0..len, radii2, &added_refs, margin)
+        self.inner.model_delta_matrix_range(&scaled, 0..len, radii2, &added_refs)
     }
 
     fn influence_position(&self, x: &[f64]) -> Option<Vec<f64>> {
@@ -492,7 +489,7 @@ mod tests {
         // scaled space); the invalid row is dirty through its ∞ radius.
         let added = [vec![1005.0, 83.0]];
         let added_refs: Vec<&[f64]> = added.iter().map(|p| p.as_slice()).collect();
-        match model.model_delta(&refs, &radii2, &added_refs, 0.0) {
+        match model.model_delta(&refs, &radii2, &added_refs) {
             crate::delta::ModelDelta::Dirty(mask) => assert!(mask[1]),
             crate::delta::ModelDelta::Global => panic!("scaled kNN delta should be spatial"),
         }
@@ -500,7 +497,7 @@ mod tests {
         let ragged = [vec![1005.0]];
         let ragged_refs: Vec<&[f64]> = ragged.iter().map(|p| p.as_slice()).collect();
         assert_eq!(
-            model.model_delta(&refs, &radii2, &ragged_refs, 0.0),
+            model.model_delta(&refs, &radii2, &ragged_refs),
             crate::delta::ModelDelta::Global
         );
     }

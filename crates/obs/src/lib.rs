@@ -43,7 +43,7 @@ use uei_types::{Result, UeiError};
 /// Telemetry knobs, carried inside `UeiConfig { telemetry }`.
 ///
 /// Off by default: the baseline exploration loop pays nothing beyond one
-/// branch per instrumented call site (measured by `obs_bench`).
+/// branch per instrumented call site.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TelemetryConfig {
     /// Master switch for spans, metrics, and the flight recorder.

@@ -5,7 +5,7 @@
 //! A [`Span`] is a guard: enter with [`SessionTelemetry::span`], drop to
 //! record. When telemetry is disabled the handle holds no state and
 //! `span()` is a single branch — no clock read, no allocation — which is
-//! what keeps disabled-mode cost near zero (measured by `obs_bench`).
+//! what keeps disabled-mode cost near zero.
 //! Spans nest; each phase accumulates its own *inclusive* time, so a
 //! [`Phase::ChunkMerge`] span inside a [`Phase::RegionLoad`] span counts
 //! toward both.

@@ -1,33 +1,29 @@
-//! Byte-budgeted LRU caches of decoded chunks.
+//! Byte-budgeted LRU caching of decoded chunks.
 //!
 //! UEI "would release the memory space used to hold the data chunk and
 //! reuse the space for the subsequent chunk" (§3.1); a bounded cache
-//! generalizes that: with a budget of one chunk it degenerates to the
-//! paper's strict chunk-at-a-time behaviour, with a larger budget it keeps
-//! hot chunks (e.g. chunks shared by adjacent grid cells) resident. The
-//! budget counts *decoded payload* bytes so it can be compared directly
-//! against the experiment's memory restriction.
+//! generalizes that: with a budget of zero it degenerates to the paper's
+//! strict chunk-at-a-time behaviour, with a larger budget it keeps hot
+//! chunks (e.g. chunks shared by adjacent grid cells) resident. The budget
+//! counts *decoded payload* bytes so it can be compared directly against
+//! the experiment's memory restriction.
 //!
-//! Two implementations share the [`CacheStats`] counters:
-//!
-//! - [`ChunkCache`] — the original single-owner (`&mut self`) LRU, still
-//!   used where no sharing is needed (ablations, the `uei-dbms` baseline
-//!   comparisons, small tools);
 //! - [`SharedChunkCache`] — a sharded, lock-striped cache (`&self`,
-//!   `Send + Sync`) shared between the foreground region loader and the
-//!   background prefetcher. Shards are keyed by [`ChunkId`] hash, each
-//!   shard owns its own `parking_lot::Mutex<LruMap>` and byte account, and
-//!   duplicate in-flight loads of one chunk coalesce into a single read
-//!   (single-flight). Because the *caller* performs the physical read with
-//!   its own [`ChunkSource`] handle, modeled I/O stays attributed to the
-//!   thread that actually issued it: foreground misses charge the
-//!   foreground tracker, prefetcher misses charge the background tracker,
-//!   and hits charge nobody;
+//!   `Send + Sync`) shared between the foreground region loader, the
+//!   background prefetcher, and every session of an engine. Shards are
+//!   keyed by [`ChunkId`] hash, each shard owns its own
+//!   `parking_lot::Mutex<LruMap>` and byte account, and duplicate in-flight
+//!   loads of one chunk coalesce into a single read (single-flight).
+//!   Because the *caller* performs the physical read with its own
+//!   [`ChunkSource`] handle, modeled I/O stays attributed to the thread
+//!   that actually issued it: foreground misses charge the foreground
+//!   tracker, prefetcher misses charge the background tracker, and hits
+//!   charge nobody;
 //! - [`SessionChunkView`] — a per-session *accounting view* over a
 //!   [`SharedChunkCache`]: chunk bytes come from the shared cache (so N
 //!   sessions keep one decoded copy), but each session's modeled I/O is
 //!   charged by a private ghost LRU that behaves exactly like a
-//!   [`ChunkCache`] of the same budget. Session traces therefore stay
+//!   single-owner cache of the same budget. Session traces therefore stay
 //!   bit-identical regardless of what other sessions do to the shared
 //!   cache — determinism the raw shared counters cannot offer, because
 //!   *which* thread pays for a shared miss depends on thread scheduling.
@@ -96,88 +92,6 @@ impl CacheStats {
         }
     }
 }
-
-/// A byte-budgeted LRU chunk cache in front of a [`ChunkSource`].
-#[derive(Debug)]
-pub struct ChunkCache {
-    budget_bytes: usize,
-    used_bytes: usize,
-    lru: LruMap<ChunkId, (Arc<Chunk>, usize)>,
-    stats: CacheStats,
-}
-
-impl ChunkCache {
-    /// Creates a cache with the given decoded-bytes budget.
-    pub fn new(budget_bytes: usize) -> Self {
-        ChunkCache { budget_bytes, used_bytes: 0, lru: LruMap::new(), stats: CacheStats::default() }
-    }
-
-    /// The configured budget.
-    pub fn budget_bytes(&self) -> usize {
-        self.budget_bytes
-    }
-
-    /// Decoded bytes currently held.
-    pub fn used_bytes(&self) -> usize {
-        self.used_bytes
-    }
-
-    /// Number of cached chunks.
-    pub fn len(&self) -> usize {
-        self.lru.len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.lru.is_empty()
-    }
-
-    /// Hit/miss/eviction/bypass counters.
-    pub fn stats(&self) -> CacheStats {
-        self.stats
-    }
-
-    /// Returns the chunk, reading it from the source on a miss.
-    ///
-    /// Chunks larger than the whole budget are returned without being
-    /// cached (they would immediately evict everything and then
-    /// themselves); such lookups count as [`CacheStats::bypasses`].
-    pub fn get_or_load(&mut self, source: &dyn ChunkSource, id: ChunkId) -> Result<Arc<Chunk>> {
-        if let Some((chunk, _)) = self.lru.get(&id) {
-            self.stats.hits += 1;
-            return Ok(Arc::clone(chunk));
-        }
-        let chunk = Arc::new(source.read_chunk(id)?);
-        let size = approx_chunk_bytes(&chunk);
-        if size > self.budget_bytes {
-            self.stats.bypasses += 1;
-            return Ok(chunk);
-        }
-        self.stats.misses += 1;
-        self.used_bytes += size;
-        self.lru.insert(id, (Arc::clone(&chunk), size));
-        while self.used_bytes > self.budget_bytes {
-            if let Some((_, (_, sz))) = self.lru.pop_lru() {
-                self.used_bytes -= sz;
-                self.stats.evictions += 1;
-            } else {
-                break;
-            }
-        }
-        Ok(chunk)
-    }
-
-    /// Drops every cached chunk (e.g. when the exploration abandons the
-    /// current region, Algorithm 2 line 15).
-    pub fn clear(&mut self) {
-        self.lru.clear();
-        self.used_bytes = 0;
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Shared concurrent cache
-// ---------------------------------------------------------------------------
 
 /// Default shard count of a [`SharedChunkCache`].
 pub const DEFAULT_CACHE_SHARDS: usize = 8;
@@ -384,10 +298,6 @@ impl SharedChunkCache {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Per-session accounting view
-// ---------------------------------------------------------------------------
-
 /// A per-session view over a [`SharedChunkCache`].
 ///
 /// The view separates *where the bytes live* from *who is charged for
@@ -398,8 +308,8 @@ impl SharedChunkCache {
 ///   most one decoded copy of each chunk, and physical reads are billed to
 ///   the engine's global ledger.
 /// - **Modeled I/O** is decided by a session-private *ghost LRU*: a map of
-///   chunk id → approximate decoded size with exactly the budget,
-///   admission, eviction, and bypass rules of a private [`ChunkCache`]. A
+///   chunk id → approximate decoded size with the budget, admission,
+///   eviction, and bypass rules of a single-owner byte-budgeted LRU. A
 ///   ghost miss charges the session's own tracker one seek plus the
 ///   chunk's encoded file size (what a private read would have cost); a
 ///   ghost hit charges nothing.
@@ -407,8 +317,8 @@ impl SharedChunkCache {
 /// Charging off the shared counters instead would make per-session traces
 /// depend on thread scheduling (single-flight bills the race winner;
 /// cross-session hits bill nobody). The ghost ledger keeps each session's
-/// modeled I/O — and hence its `IterationTrace` — bit-identical to a run
-/// with a private cache, while the shared cache still delivers the real
+/// modeled I/O — and hence its `IterationTrace` — bit-identical to the
+/// session running alone, while the shared cache still delivers the real
 /// wall-clock and memory wins of sharing.
 pub struct SessionChunkView {
     shared: Arc<SharedChunkCache>,
@@ -464,9 +374,8 @@ impl SessionChunkView {
         self.stats
     }
 
-    /// Empties the ghost ledger (counters are kept, like
-    /// [`ChunkCache::clear`]). The shared cache is untouched — it belongs
-    /// to every session of the engine.
+    /// Empties the ghost ledger (counters are kept). The shared cache is
+    /// untouched — it belongs to every session of the engine.
     pub fn clear_ghost(&mut self) {
         self.ghost.clear();
         self.used_bytes = 0;
@@ -488,8 +397,8 @@ impl SessionChunkView {
         // Ghost miss: a private cache would have read the file here, so
         // bill the session the catalog cost of that read (one seek plus
         // the encoded length) — a fixed amount that cannot depend on other
-        // sessions' behaviour. Failed fetches charge nothing, matching the
-        // private path where a read errors before any bytes move.
+        // sessions' behaviour. Failed fetches charge nothing: a read that
+        // errors moves no bytes.
         let file_size = session.chunk_file_size(id)?;
         let chunk = self.shared.get_or_load(self.physical.as_ref(), id)?;
         session.tracker().record_read(file_size, 1);
@@ -514,8 +423,8 @@ impl SessionChunkView {
 }
 
 /// Approximate decoded in-memory footprint of a chunk — the unit of every
-/// cache's byte accounting (budgets, [`ChunkCache::used_bytes`],
-/// [`SharedChunkCache::used_bytes`], and the ghost ledgers of
+/// cache's byte accounting (budgets, [`SharedChunkCache::used_bytes`],
+/// and the ghost ledgers of
 /// [`SessionChunkView`]), exposed so tests can recompute a cache's exact
 /// expected occupancy from its resident chunks.
 pub fn approx_chunk_bytes(chunk: &Chunk) -> usize {
@@ -559,79 +468,87 @@ mod tests {
         (store, dir)
     }
 
+    /// A session view whose ghost ledger models `budget` bytes, over a
+    /// fresh unbounded shared cache, with the session handle it bills.
+    fn solo_view(store: &ColumnStore, budget: usize) -> (SessionChunkView, ColumnStore) {
+        let engine: Arc<dyn ChunkSource> =
+            Arc::new(store.with_tracker(DiskTracker::new(IoProfile::instant())));
+        let shared = Arc::new(SharedChunkCache::new(usize::MAX, 2));
+        let session = store.with_tracker(DiskTracker::new(IoProfile::default()));
+        (SessionChunkView::new(shared, engine, budget), session)
+    }
+
+    /// Decoded footprint of chunk `id`.
+    fn chunk_bytes(store: &ColumnStore, id: ChunkId) -> usize {
+        approx_chunk_bytes(&store.read_chunk(id).unwrap())
+    }
+
+    // -- Ghost ledger: the single-owner LRU arithmetic ----------------------
+
     #[test]
-    fn hit_after_miss() {
+    fn ghost_hit_after_miss_charges_once() {
         let (store, _dir) = build_store("hits", 200, 256);
         let id = store.manifest().dims[0][0].id();
-        let mut cache = ChunkCache::new(10 << 20);
-        let a = cache.get_or_load(&store, id).unwrap();
-        let b = cache.get_or_load(&store, id).unwrap();
+        let (mut view, session) = solo_view(&store, 10 << 20);
+        let a = view.get_or_load(&session, id).unwrap();
+        let before = session.tracker().snapshot();
+        let b = view.get_or_load(&session, id).unwrap();
         assert!(Arc::ptr_eq(&a, &b));
-        assert_eq!(cache.stats().misses, 1);
-        assert_eq!(cache.stats().hits, 1);
+        assert_eq!(view.stats().misses, 1);
+        assert_eq!(view.stats().hits, 1);
+        assert_eq!(session.tracker().delta(&before).stats.bytes_read, 0, "a ghost hit is free");
     }
 
     #[test]
-    fn second_load_does_no_io() {
-        let (store, _dir) = build_store("noio", 200, 256);
-        let id = store.manifest().dims[0][0].id();
-        let mut cache = ChunkCache::new(10 << 20);
-        cache.get_or_load(&store, id).unwrap();
-        let before = store.tracker().snapshot();
-        cache.get_or_load(&store, id).unwrap();
-        assert_eq!(store.tracker().delta(&before).stats.bytes_read, 0);
-    }
-
-    #[test]
-    fn evicts_lru_when_over_budget() {
+    fn ghost_evicts_lru_when_over_budget() {
         let (store, _dir) = build_store("evict", 500, 200);
         let ids: Vec<ChunkId> = store.manifest().dims[0].iter().map(|m| m.id()).collect();
         assert!(ids.len() >= 3, "need several chunks for this test");
         // Budget sized for roughly one chunk.
-        let one = {
-            let mut c = ChunkCache::new(usize::MAX);
-            let ch = c.get_or_load(&store, ids[0]).unwrap();
-            approx_chunk_bytes(&ch)
-        };
-        let mut cache = ChunkCache::new(one + one / 2);
+        let one = chunk_bytes(&store, ids[0]);
+        let (mut view, session) = solo_view(&store, one + one / 2);
         for &id in &ids {
-            cache.get_or_load(&store, id).unwrap();
+            view.get_or_load(&session, id).unwrap();
         }
-        assert!(cache.stats().evictions > 0);
-        assert!(cache.used_bytes() <= cache.budget_bytes());
+        assert!(view.stats().evictions > 0);
+        assert!(view.used_bytes <= view.budget_bytes());
         // The last-loaded chunk should still be resident.
-        let before = store.tracker().snapshot();
-        cache.get_or_load(&store, *ids.last().unwrap()).unwrap();
-        assert_eq!(store.tracker().delta(&before).stats.bytes_read, 0);
+        let before = session.tracker().snapshot();
+        view.get_or_load(&session, *ids.last().unwrap()).unwrap();
+        assert_eq!(session.tracker().delta(&before).stats.bytes_read, 0);
     }
 
     #[test]
-    fn oversized_chunk_bypasses_cache() {
+    fn ghost_bypasses_oversized_chunks() {
         let (store, _dir) = build_store("bypass", 100, 1 << 20);
         let id = store.manifest().dims[0][0].id();
-        let mut cache = ChunkCache::new(8); // absurdly small budget
-        cache.get_or_load(&store, id).unwrap();
-        assert_eq!(cache.len(), 0);
-        assert_eq!(cache.used_bytes(), 0);
+        let (mut view, session) = solo_view(&store, 8); // absurdly small budget
+        view.get_or_load(&session, id).unwrap();
+        assert_eq!(view.ghost.len(), 0);
+        assert_eq!(view.used_bytes, 0);
         // Counted as a bypass both times, never as a plain miss.
-        cache.get_or_load(&store, id).unwrap();
-        assert_eq!(cache.stats().bypasses, 2);
-        assert_eq!(cache.stats().misses, 0);
-        assert_eq!(cache.stats().hit_ratio(), 0.0);
-        assert_eq!(cache.stats().bypass_ratio(), 1.0);
+        view.get_or_load(&session, id).unwrap();
+        assert_eq!(view.stats().bypasses, 2);
+        assert_eq!(view.stats().misses, 0);
+        assert_eq!(view.stats().hit_ratio(), 0.0);
+        assert_eq!(view.stats().bypass_ratio(), 1.0);
     }
 
     #[test]
-    fn clear_resets_usage() {
+    fn clear_ghost_resets_usage() {
         let (store, _dir) = build_store("clear", 200, 256);
-        let mut cache = ChunkCache::new(10 << 20);
+        let (mut view, session) = solo_view(&store, 10 << 20);
         for m in &store.manifest().dims[0] {
-            cache.get_or_load(&store, m.id()).unwrap();
+            view.get_or_load(&session, m.id()).unwrap();
         }
-        assert!(cache.used_bytes() > 0);
-        cache.clear();
-        assert_eq!(cache.used_bytes(), 0);
-        assert!(cache.is_empty());
+        assert!(view.used_bytes > 0);
+        view.clear_ghost();
+        assert_eq!(view.used_bytes, 0);
+        assert!(view.ghost.is_empty());
+        // The model forgot the chunks: reloading one is charged again.
+        let before = session.tracker().snapshot();
+        view.get_or_load(&session, store.manifest().dims[0][0].id()).unwrap();
+        assert!(session.tracker().delta(&before).stats.bytes_read > 0);
     }
 
     #[test]
@@ -795,7 +712,7 @@ mod tests {
     // -- SessionChunkView ---------------------------------------------------
 
     #[test]
-    fn session_view_accounting_matches_private_cache_despite_interference() {
+    fn session_view_ledger_is_unmoved_by_interference() {
         let (store, _dir) = build_store("sv-ghost", 1500, 200);
         let ids: Vec<ChunkId> = store.manifest().dims.iter().flatten().map(|m| m.id()).collect();
         assert!(ids.len() >= 6);
@@ -804,24 +721,17 @@ mod tests {
         let mut seq = ids.clone();
         seq.extend(ids.iter().rev().cloned());
         seq.extend_from_slice(&ids[..ids.len() / 2]);
-
-        let one = {
-            let mut c = ChunkCache::new(usize::MAX);
-            let t = DiskTracker::new(IoProfile::default());
-            let h = store.with_tracker(t);
-            approx_chunk_bytes(&c.get_or_load(&h, ids[0]).unwrap())
-        };
+        let one = chunk_bytes(&store, ids[0]);
         let budget = one * 3;
 
-        // Reference: a private cache with its own tracker.
-        let private_tracker = DiskTracker::new(IoProfile::default());
-        let private_store = store.with_tracker(private_tracker.clone());
-        let mut private = ChunkCache::new(budget);
+        // Reference: the view alone over an unbounded shared cache.
+        let (mut solo, solo_session) = solo_view(&store, budget);
         for &id in &seq {
-            private.get_or_load(&private_store, id).unwrap();
+            solo.get_or_load(&solo_session, id).unwrap();
         }
+        assert!(solo.stats().hits > 0 && solo.stats().evictions > 0, "{:?}", solo.stats());
 
-        // Session view over a shared cache that is deliberately smaller
+        // The same ledger over a shared cache that is deliberately smaller
         // than the ghost budget and disturbed by another session between
         // every access.
         let engine_tracker = DiskTracker::new(IoProfile::instant());
@@ -840,18 +750,19 @@ mod tests {
             shared.get_or_load(&disturber, ids[(i * 7) % ids.len()]).unwrap();
         }
 
-        assert_eq!(view.stats(), private.stats(), "ghost counters match a private cache");
+        let solo_tracker = solo_session.tracker();
+        assert_eq!(view.stats(), solo.stats(), "ghost counters match the solo run");
         assert_eq!(
             session_tracker.stats().bytes_read,
-            private_tracker.stats().bytes_read,
-            "session modeled bytes match a private-cache run"
+            solo_tracker.stats().bytes_read,
+            "session modeled bytes match the solo run"
         );
-        assert_eq!(session_tracker.stats().seeks, private_tracker.stats().seeks);
-        assert_eq!(session_tracker.stats().reads, private_tracker.stats().reads);
+        assert_eq!(session_tracker.stats().seeks, solo_tracker.stats().seeks);
+        assert_eq!(session_tracker.stats().reads, solo_tracker.stats().reads);
         assert_eq!(
             session_tracker.virtual_elapsed(),
-            private_tracker.virtual_elapsed(),
-            "session virtual clock matches a private-cache run"
+            solo_tracker.virtual_elapsed(),
+            "session virtual clock matches the solo run"
         );
         // The session itself never performed a physical read.
         assert_eq!(session_tracker.stats().writes, 0);

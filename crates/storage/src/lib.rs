@@ -22,12 +22,12 @@
 //!   phase, Algorithm 2 lines 2–6) and reading;
 //! - [`merge`] — hash-table reconstruction of a subspace from its chunks
 //!   (Algorithm 2 line 19), chunk-at-a-time to bound memory;
-//! - [`cache`] — byte-budgeted LRU chunk caches: a single-owner
-//!   [`cache::ChunkCache`], a sharded, lock-striped
-//!   [`cache::SharedChunkCache`] shared by the foreground loader, the
-//!   background prefetcher, and every session of an engine (single-flight
-//!   per chunk), and the per-session [`cache::SessionChunkView`] whose
-//!   ghost ledger keeps per-session modeled I/O deterministic;
+//! - [`cache`] — byte-budgeted LRU chunk caching: the sharded,
+//!   lock-striped [`cache::SharedChunkCache`] shared by the foreground
+//!   loader, the background prefetcher, and every session of an engine
+//!   (single-flight per chunk), and the per-session
+//!   [`cache::SessionChunkView`] whose ghost ledger keeps per-session
+//!   modeled I/O deterministic;
 //! - [`source`](mod@source) — the [`source::ChunkSource`] trait the read path is
 //!   programmed against, implemented by [`store::ColumnStore`] and by the
 //!   in-memory [`source::MemChunkSource`] test double;
@@ -67,8 +67,7 @@ pub mod store;
 pub mod testutil;
 
 pub use cache::{
-    approx_chunk_bytes, CacheStats, ChunkCache, SessionChunkView, SharedChunkCache,
-    DEFAULT_CACHE_SHARDS,
+    approx_chunk_bytes, CacheStats, SessionChunkView, SharedChunkCache, DEFAULT_CACHE_SHARDS,
 };
 pub use chunk::{Chunk, ChunkId};
 pub use column::merge_sources;
@@ -78,10 +77,7 @@ pub use fault::{
 pub use io::{DiskTracker, IoProfile, IoSnapshot, IoStats};
 pub use journal::{FsyncPolicy, JournalConfig, JournalContents, SessionJournal};
 pub use manifest::{ChunkMeta, Manifest};
-pub use merge::{
-    reconstruct_region, reconstruct_region_delta, reconstruct_region_with_chunks, ChunkFetch,
-    MergeStats, RegionChunkSet,
-};
+pub use merge::{reconstruct_region, MergeStats, RegionChunkSet};
 pub use postings::PostingList;
 pub use source::{ChunkSource, MemChunkSource};
 pub use store::{ColumnStore, StoreConfig};

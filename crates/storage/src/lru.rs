@@ -1,7 +1,7 @@
 //! A generic intrusive-list LRU map.
 //!
-//! Used by the [`crate::cache::ChunkCache`] (byte-budgeted chunk caching for
-//! UEI) and by the `uei-dbms` buffer pool (page-count-budgeted). Entries are
+//! Used by the chunk caches of [`crate::cache`] (byte-budgeted chunk caching
+//! for UEI) and by the `uei-dbms` buffer pool (page-count-budgeted). Entries are
 //! stored in a slab with intrusive prev/next links, so every operation is
 //! O(1) amortized and there is one allocation per slot, reused on eviction.
 

@@ -18,13 +18,10 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use rayon::prelude::*;
 use uei_types::{DataPoint, Region, Result, UeiError};
 
-use crate::cache::{ChunkCache, SessionChunkView, SharedChunkCache};
 use crate::chunk::{Chunk, ChunkId};
 use crate::source::ChunkSource;
-use crate::store::ColumnStore;
 
 /// Work counters from one reconstruction; these are the `e` of the paper's
 /// O(ke) per-iteration complexity claim (§3.3).
@@ -35,8 +32,8 @@ pub struct MergeStats {
     pub chunks_loaded: u64,
     /// Total encoded bytes of the materialized chunks.
     pub chunk_bytes: u64,
-    /// Chunks reused from the previous region's decoded set
-    /// ([`reconstruct_region_delta`]) without touching the fetch path.
+    /// Chunks reused from the previous region's decoded set without
+    /// touching the fetch path.
     pub chunks_reused: u64,
     /// Total encoded bytes of the reused chunks — I/O the delta avoided
     /// even in the worst (all-cold-cache) case.
@@ -51,30 +48,10 @@ pub struct MergeStats {
     pub result_rows: u64,
 }
 
-/// How [`reconstruct_region_with_chunks`] materializes chunk files.
-#[derive(Debug)]
-pub enum ChunkFetch<'a> {
-    /// Read every chunk from disk and drop it after the scan — the paper's
-    /// default chunk-at-a-time behaviour (§3.1).
-    Uncached,
-    /// Fetch through a single-owner [`ChunkCache`].
-    Cached(&'a mut ChunkCache),
-    /// Fetch through a [`SharedChunkCache`] — the concurrent cache shared
-    /// by the foreground loader and the background prefetcher. Physical
-    /// reads are charged to the caller's own source tracker, so each
-    /// caller passes its own handle and I/O attribution stays per-thread.
-    Shared(&'a SharedChunkCache),
-    /// Fetch through a per-session [`SessionChunkView`]: bytes come from
-    /// the shared cache (physical reads bill the engine's ledger), modeled
-    /// I/O is charged to the session's source tracker by the view's
-    /// deterministic ghost LRU.
-    Session(&'a mut SessionChunkView),
-}
-
 /// The decoded chunks of one reconstructed region, keyed by [`ChunkId`].
 ///
 /// Kept by callers that load overlapping regions back to back:
-/// [`reconstruct_region_delta`] reuses any chunk present here without
+/// [`reconstruct_region`] reuses any chunk present here without
 /// re-reading or re-decoding it. Chunks are immutable once written (the
 /// store has no update path), so reuse is safe across *any* pair of
 /// regions, not just adjacent ones.
@@ -124,80 +101,32 @@ struct Candidate {
     seen: u64, // bitmask of dimensions filled in
 }
 
-/// Reconstructs every row of `region` from the store's inverted chunks.
+/// Reconstructs every row of `region` from exactly the chunks the caller
+/// names per dimension — the index's mapping method `m` has already
+/// resolved the chunk set for the chosen subspace, so no catalog lookup
+/// happens here.
 ///
-/// Chunks are fetched through `cache` when provided (UEI's configurable
-/// in-memory chunk budget), otherwise read chunk-at-a-time and dropped, the
-/// paper's default. Supports up to 64 dimensions (the bitmask width); the
-/// paper's experiments use 5.
+/// Chunks present in `prev` (the previously loaded region's decoded set)
+/// are reused in place — no file read, no decode, no cache traffic — and
+/// counted in [`MergeStats::chunks_reused`]; every other chunk is
+/// materialized through `fetch`, in caller order, one at a time. `fetch` is
+/// whatever the caller reads chunks through: a session's ghost-ledger view,
+/// the shared cache, or a plain `source.read_chunk`. Consecutive uncertain
+/// regions in UEI's exploration overlap heavily — the decision boundary
+/// moves slowly, the same premise the σ/θ prefetch machinery rests on
+/// (§3.2) — so the fetched delta is usually a small fraction of the region.
 ///
-/// Returns the rows (ordered by row id) and the work counters.
+/// Returns the rows (ordered by row id), the work counters, and the
+/// region's own [`RegionChunkSet`] (covering *all* its chunks, reused and
+/// fresh) to pass as the next load's `prev`. Supports up to 64 dimensions
+/// (the bitmask width); the paper's experiments use 5.
 pub fn reconstruct_region(
-    store: &ColumnStore,
-    region: &Region,
-    cache: Option<&mut ChunkCache>,
-) -> Result<(Vec<DataPoint>, MergeStats)> {
-    let dims = store.schema().dims();
-    if region.dims() != dims {
-        return Err(UeiError::DimensionMismatch { expected: dims, actual: region.dims() });
-    }
-    let mut chunks_per_dim = Vec::with_capacity(dims);
-    for d in 0..dims {
-        let metas = store.manifest().chunks_overlapping(d, region.lo[d], region.hi[d])?;
-        chunks_per_dim.push(metas.iter().map(|m| m.id()).collect());
-    }
-    let fetch = match cache {
-        Some(c) => ChunkFetch::Cached(c),
-        None => ChunkFetch::Uncached,
-    };
-    reconstruct_region_with_chunks(store, region, &chunks_per_dim, fetch)
-}
-
-/// Like [`reconstruct_region`], but reads exactly the chunks the caller
-/// names (per dimension) from any [`ChunkSource`]. This is the entry point
-/// the Uncertainty Estimation Index uses: its mapping method `m` has
-/// already resolved the chunk set for the chosen subspace, so no catalog
-/// lookup happens here.
-pub fn reconstruct_region_with_chunks(
-    source: &dyn ChunkSource,
-    region: &Region,
-    chunks_per_dim: &[Vec<ChunkId>],
-    fetch: ChunkFetch<'_>,
-) -> Result<(Vec<DataPoint>, MergeStats)> {
-    let (rows, stats, _) = reconstruct_inner(source, region, chunks_per_dim, fetch, None, false)?;
-    Ok((rows, stats))
-}
-
-/// Incremental reconstruction: like [`reconstruct_region_with_chunks`],
-/// but chunks present in `prev` (the previously loaded region's decoded
-/// set) are reused in place — no file read, no decode, no cache traffic —
-/// and counted in [`MergeStats::chunks_reused`]. Returns the new region's
-/// own [`RegionChunkSet`] (covering *all* its chunks, reused and fresh)
-/// for the next iteration's delta.
-///
-/// Consecutive uncertain regions in UEI's exploration overlap heavily —
-/// the decision boundary moves slowly, the same premise the σ/θ prefetch
-/// machinery rests on (§3.2) — so the delta is usually a small fraction of
-/// the region.
-pub fn reconstruct_region_delta(
     source: &dyn ChunkSource,
     region: &Region,
     chunks_per_dim: &[Vec<ChunkId>],
     prev: Option<&RegionChunkSet>,
-    fetch: ChunkFetch<'_>,
+    fetch: &mut dyn FnMut(ChunkId) -> Result<Arc<Chunk>>,
 ) -> Result<(Vec<DataPoint>, MergeStats, RegionChunkSet)> {
-    let (rows, stats, set) = reconstruct_inner(source, region, chunks_per_dim, fetch, prev, true)?;
-    Ok((rows, stats, set.expect("collect=true always builds a set")))
-}
-
-fn reconstruct_inner(
-    source: &dyn ChunkSource,
-    region: &Region,
-    chunks_per_dim: &[Vec<ChunkId>],
-    mut fetch: ChunkFetch<'_>,
-    prev: Option<&RegionChunkSet>,
-    collect: bool,
-) -> Result<(Vec<DataPoint>, MergeStats, Option<RegionChunkSet>)> {
     let dims = source.dims();
     if region.dims() != dims {
         return Err(UeiError::DimensionMismatch { expected: dims, actual: region.dims() });
@@ -213,29 +142,27 @@ fn reconstruct_inner(
     let inclusive_hi = region.is_closed();
     let mut stats = MergeStats::default();
     let mut table: HashMap<u64, Candidate> = HashMap::new();
-    let mut new_set = collect.then(RegionChunkSet::new);
+    let mut new_set = RegionChunkSet::new();
 
     for d in 0..dims {
         let (lo, hi) = (region.lo[d], region.hi[d]);
         let bit = 1u64 << d;
-        // Materialize this dimension's chunks first, reusing the previous
-        // region's decoded chunks where possible. Cache modes keep the
-        // original chunk-at-a-time behaviour through the cache; uncached
-        // mode reads every missing file sequentially (deterministic
-        // modeled I/O) and then runs the CPU-bound CRC-validating decodes
-        // in parallel.
-        let loaded = load_dimension(source, &chunks_per_dim[d], &mut fetch, prev)?;
-        for (chunk, file_size, reused) in loaded {
-            if reused {
-                stats.chunks_reused += 1;
-                stats.bytes_reused += file_size;
-            } else {
-                stats.chunks_loaded += 1;
-                stats.chunk_bytes += file_size;
-            }
-            if let Some(set) = new_set.as_mut() {
-                set.insert(chunk.id, Arc::clone(&chunk), file_size);
-            }
+        for &id in &chunks_per_dim[d] {
+            let (chunk, file_size) = match prev.and_then(|p| p.get(id)) {
+                Some((chunk, file_size)) => {
+                    stats.chunks_reused += 1;
+                    stats.bytes_reused += file_size;
+                    (chunk, file_size)
+                }
+                None => {
+                    let file_size = source.chunk_file_size(id)?;
+                    let chunk = fetch(id)?;
+                    stats.chunks_loaded += 1;
+                    stats.chunk_bytes += file_size;
+                    (chunk, file_size)
+                }
+            };
+            new_set.insert(id, Arc::clone(&chunk), file_size);
             chunk.scan_range(lo, hi, inclusive_hi, |entry| {
                 stats.entries_matched += 1;
                 for &id in &entry.ids {
@@ -260,17 +187,16 @@ fn reconstruct_inner(
                 }
             });
             // `chunk` drops here; memory held at once is bounded by one
-            // dimension's chunk set for the cell (plus whatever the cache
-            // retains within its budget, plus the retained region set in
-            // delta mode).
+            // chunk plus whatever the cache retains within its budget plus
+            // the retained region set.
         }
         if d == 0 {
             stats.seed_candidates = table.len() as u64;
             if table.is_empty() {
                 // No candidate can survive the intersection; skip the
-                // remaining dimensions entirely. (In delta mode the
-                // returned set then only covers dimension 0 — reuse is
-                // keyed per chunk, so a partial set is still valid.)
+                // remaining dimensions entirely. The returned set then
+                // only covers dimension 0 — reuse is keyed per chunk, so a
+                // partial set is still valid.
                 break;
             }
         }
@@ -287,98 +213,12 @@ fn reconstruct_inner(
     Ok((rows, stats, new_set))
 }
 
-/// Materializes one dimension's chunk list in caller order, marking each
-/// chunk as reused (`true`, taken from `prev` with zero I/O) or fetched
-/// (`false`, materialized through `fetch`).
-fn load_dimension(
-    source: &dyn ChunkSource,
-    chunk_ids: &[ChunkId],
-    fetch: &mut ChunkFetch<'_>,
-    prev: Option<&RegionChunkSet>,
-) -> Result<Vec<(Arc<Chunk>, u64, bool)>> {
-    // Resolve reuse first so the fetch path only sees the delta.
-    let mut slots: Vec<Option<(Arc<Chunk>, u64)>> =
-        chunk_ids.iter().map(|&id| prev.and_then(|p| p.get(id))).collect();
-    let missing: Vec<ChunkId> = chunk_ids
-        .iter()
-        .zip(&slots)
-        .filter(|(_, slot)| slot.is_none())
-        .map(|(&id, _)| id)
-        .collect();
-
-    let fetched: Vec<(Arc<Chunk>, u64)> = match fetch {
-        ChunkFetch::Uncached => decode_chunks_uncached(source, &missing)?,
-        ChunkFetch::Cached(cache) => {
-            let mut v = Vec::with_capacity(missing.len());
-            for &id in &missing {
-                let file_size = source.chunk_file_size(id)?;
-                v.push((cache.get_or_load(source, id)?, file_size));
-            }
-            v
-        }
-        ChunkFetch::Shared(cache) => {
-            let mut v = Vec::with_capacity(missing.len());
-            for &id in &missing {
-                let file_size = source.chunk_file_size(id)?;
-                v.push((cache.get_or_load(source, id)?, file_size));
-            }
-            v
-        }
-        ChunkFetch::Session(view) => {
-            let mut v = Vec::with_capacity(missing.len());
-            for &id in &missing {
-                let file_size = source.chunk_file_size(id)?;
-                v.push((view.get_or_load(source, id)?, file_size));
-            }
-            v
-        }
-    };
-
-    let mut fetched = fetched.into_iter();
-    Ok(slots
-        .iter_mut()
-        .map(|slot| match slot.take() {
-            Some((chunk, size)) => (chunk, size, true),
-            None => {
-                let (chunk, size) = fetched.next().expect("one fetched chunk per missing slot");
-                (chunk, size, false)
-            }
-        })
-        .collect())
-}
-
-/// Reads and decodes one dimension's chunk set without a cache: all file
-/// reads happen first, sequentially and in chunk order (the I/O model
-/// charges seeks in issue order, so accounting is identical to the
-/// chunk-at-a-time loop), then the decodes — CRC validation plus posting
-/// list deserialization, pure CPU — fan out across cores. Returns
-/// `(chunk, file_size)` pairs in the caller's chunk order.
-fn decode_chunks_uncached(
-    source: &dyn ChunkSource,
-    chunk_ids: &[ChunkId],
-) -> Result<Vec<(Arc<Chunk>, u64)>> {
-    let mut raw = Vec::with_capacity(chunk_ids.len());
-    for &chunk_id in chunk_ids {
-        let file_size = source.chunk_file_size(chunk_id)?;
-        raw.push((chunk_id, file_size, source.read_chunk_bytes(chunk_id)?));
-    }
-    let decode = |(chunk_id, file_size, bytes): &(ChunkId, u64, Vec<u8>)| {
-        source.decode_chunk(*chunk_id, bytes).map(|c| (Arc::new(c), *file_size))
-    };
-    let decoded: Vec<Result<(Arc<Chunk>, u64)>> =
-        if raw.len() >= 2 && rayon::current_num_threads() > 1 {
-            raw.par_iter().map(decode).collect()
-        } else {
-            raw.iter().map(decode).collect()
-        };
-    decoded.into_iter().collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::SharedChunkCache;
     use crate::io::{DiskTracker, IoProfile};
-    use crate::store::StoreConfig;
+    use crate::store::{ColumnStore, StoreConfig};
     use uei_types::{AttributeDef, Rng, Schema};
 
     fn build(
@@ -422,80 +262,6 @@ mod tests {
         rows.iter().filter(|p| region.contains(&p.values).unwrap()).map(|p| p.id.as_u64()).collect()
     }
 
-    #[test]
-    fn matches_brute_force_half_open() {
-        let (store, rows, _dir) = build("halfopen", 800, 512);
-        let region = Region::new(vec![20.0, 30.0, 0.0], vec![60.0, 70.0, 50.0]).unwrap();
-        let (got, stats) = reconstruct_region(&store, &region, None).unwrap();
-        let got_ids: Vec<u64> = got.iter().map(|p| p.id.as_u64()).collect();
-        assert_eq!(got_ids, brute_force(&rows, &region));
-        assert_eq!(stats.result_rows as usize, got.len());
-        assert!(stats.chunks_loaded > 0);
-        // Reconstructed values must equal the originals.
-        for p in &got {
-            assert_eq!(p, &rows[p.id.as_usize()]);
-        }
-    }
-
-    #[test]
-    fn matches_brute_force_closed() {
-        let (store, rows, _dir) = build("closed", 500, 512);
-        let region = Region::closed(vec![0.0, 0.0, 0.0], vec![100.0, 100.0, 100.0]).unwrap();
-        let (got, _) = reconstruct_region(&store, &region, None).unwrap();
-        assert_eq!(got.len(), rows.len(), "full-space region reconstructs every row");
-    }
-
-    #[test]
-    fn empty_region_short_circuits() {
-        let (store, _, _dir) = build("empty", 300, 512);
-        // x-range outside the domain: dimension 0 seeds nothing.
-        let region = Region::new(vec![200.0, 0.0, 0.0], vec![300.0, 100.0, 100.0]).unwrap();
-        let before = store.tracker().snapshot();
-        let (got, stats) = reconstruct_region(&store, &region, None).unwrap();
-        assert!(got.is_empty());
-        assert_eq!(stats.seed_candidates, 0);
-        // Later dimensions were skipped, so almost nothing was read.
-        assert_eq!(store.tracker().delta(&before).stats.bytes_read, 0);
-    }
-
-    #[test]
-    fn narrow_region_touches_fewer_chunks_than_full() {
-        let (store, _, _dir) = build("narrow", 2000, 256);
-        let full = Region::new(vec![0.0; 3], vec![100.0; 3]).unwrap();
-        let narrow = Region::new(vec![10.0, 10.0, 10.0], vec![15.0, 15.0, 15.0]).unwrap();
-        let (_, full_stats) = reconstruct_region(&store, &full, None).unwrap();
-        let (_, narrow_stats) = reconstruct_region(&store, &narrow, None).unwrap();
-        assert!(
-            narrow_stats.chunk_bytes < full_stats.chunk_bytes,
-            "narrow {} vs full {}",
-            narrow_stats.chunk_bytes,
-            full_stats.chunk_bytes
-        );
-    }
-
-    #[test]
-    fn cache_reuse_avoids_rereads() {
-        let (store, _, _dir) = build("cached", 800, 512);
-        let region = Region::new(vec![20.0, 20.0, 20.0], vec![80.0, 80.0, 80.0]).unwrap();
-        let mut cache = ChunkCache::new(64 << 20);
-        let (first, _) = reconstruct_region(&store, &region, Some(&mut cache)).unwrap();
-        let before = store.tracker().snapshot();
-        let (second, _) = reconstruct_region(&store, &region, Some(&mut cache)).unwrap();
-        assert_eq!(first, second);
-        assert_eq!(
-            store.tracker().delta(&before).stats.bytes_read,
-            0,
-            "second reconstruction fully served from cache"
-        );
-    }
-
-    #[test]
-    fn dimension_mismatch_rejected() {
-        let (store, _, _dir) = build("dims", 50, 512);
-        let region = Region::new(vec![0.0], vec![1.0]).unwrap();
-        assert!(reconstruct_region(&store, &region, None).is_err());
-    }
-
     fn chunks_for(store: &ColumnStore, region: &Region) -> Vec<Vec<ChunkId>> {
         (0..store.schema().dims())
             .map(|d| {
@@ -510,6 +276,88 @@ mod tests {
             .collect()
     }
 
+    /// Cold reconstruction through a plain read+decode fetch: no cache, no
+    /// previous region.
+    fn reconstruct_cold(store: &ColumnStore, region: &Region) -> (Vec<DataPoint>, MergeStats) {
+        let (rows, stats, _) = reconstruct_with(store, region, None);
+        (rows, stats)
+    }
+
+    fn reconstruct_with(
+        store: &ColumnStore,
+        region: &Region,
+        prev: Option<&RegionChunkSet>,
+    ) -> (Vec<DataPoint>, MergeStats, RegionChunkSet) {
+        reconstruct_region(store, region, &chunks_for(store, region), prev, &mut |id| {
+            store.read_chunk(id).map(Arc::new)
+        })
+        .unwrap()
+    }
+
+    #[test]
+    fn matches_brute_force_half_open() {
+        let (store, rows, _dir) = build("halfopen", 800, 512);
+        let region = Region::new(vec![20.0, 30.0, 0.0], vec![60.0, 70.0, 50.0]).unwrap();
+        let (got, stats) = reconstruct_cold(&store, &region);
+        let got_ids: Vec<u64> = got.iter().map(|p| p.id.as_u64()).collect();
+        assert_eq!(got_ids, brute_force(&rows, &region));
+        assert_eq!(stats.result_rows as usize, got.len());
+        assert!(stats.chunks_loaded > 0);
+        // Reconstructed values must equal the originals.
+        for p in &got {
+            assert_eq!(p, &rows[p.id.as_usize()]);
+        }
+    }
+
+    #[test]
+    fn matches_brute_force_closed() {
+        let (store, rows, _dir) = build("closed", 500, 512);
+        let region = Region::closed(vec![0.0, 0.0, 0.0], vec![100.0, 100.0, 100.0]).unwrap();
+        let (got, _) = reconstruct_cold(&store, &region);
+        assert_eq!(got.len(), rows.len(), "full-space region reconstructs every row");
+    }
+
+    #[test]
+    fn empty_region_short_circuits() {
+        let (store, _, _dir) = build("empty", 300, 512);
+        // x-range outside the domain: dimension 0 seeds nothing.
+        let region = Region::new(vec![200.0, 0.0, 0.0], vec![300.0, 100.0, 100.0]).unwrap();
+        let before = store.tracker().snapshot();
+        let (got, stats) = reconstruct_cold(&store, &region);
+        assert!(got.is_empty());
+        assert_eq!(stats.seed_candidates, 0);
+        // Later dimensions were skipped, so almost nothing was read.
+        assert_eq!(store.tracker().delta(&before).stats.bytes_read, 0);
+    }
+
+    #[test]
+    fn narrow_region_touches_fewer_chunks_than_full() {
+        let (store, _, _dir) = build("narrow", 2000, 256);
+        let full = Region::new(vec![0.0; 3], vec![100.0; 3]).unwrap();
+        let narrow = Region::new(vec![10.0, 10.0, 10.0], vec![15.0, 15.0, 15.0]).unwrap();
+        let (_, full_stats) = reconstruct_cold(&store, &full);
+        let (_, narrow_stats) = reconstruct_cold(&store, &narrow);
+        assert!(
+            narrow_stats.chunk_bytes < full_stats.chunk_bytes,
+            "narrow {} vs full {}",
+            narrow_stats.chunk_bytes,
+            full_stats.chunk_bytes
+        );
+    }
+
+    #[test]
+    fn dimension_mismatch_rejected() {
+        let (store, _, _dir) = build("dims", 50, 512);
+        let mut fetch = |id| store.read_chunk(id).map(Arc::new);
+        let region = Region::new(vec![0.0], vec![1.0]).unwrap();
+        assert!(reconstruct_region(&store, &region, &[Vec::new()], None, &mut fetch).is_err());
+        let region = Region::new(vec![0.0; 3], vec![1.0; 3]).unwrap();
+        assert!(
+            reconstruct_region(&store, &region, &[Vec::new()], None, &mut fetch).is_err(),
+            "one chunk list per dimension"
+        );
+    }
+
     #[test]
     fn delta_reuses_overlap_and_matches_full_reconstruction() {
         let (store, rows, _dir) = build("delta", 1500, 256);
@@ -517,32 +365,18 @@ mod tests {
         // Shifted region: heavy overlap with `a` along every dimension.
         let b = Region::new(vec![20.0, 20.0, 20.0], vec![70.0, 70.0, 70.0]).unwrap();
 
-        let (rows_a, stats_a, set_a) = reconstruct_region_delta(
-            &store,
-            &a,
-            &chunks_for(&store, &a),
-            None,
-            ChunkFetch::Uncached,
-        )
-        .unwrap();
+        let (rows_a, stats_a, set_a) = reconstruct_with(&store, &a, None);
         assert_eq!(stats_a.chunks_reused, 0, "nothing to reuse on the first load");
         assert_eq!(set_a.len() as u64, stats_a.chunks_loaded);
         let ids_a: Vec<u64> = rows_a.iter().map(|p| p.id.as_u64()).collect();
         assert_eq!(ids_a, brute_force(&rows, &a));
 
         let before = store.tracker().snapshot();
-        let (rows_b, stats_b, set_b) = reconstruct_region_delta(
-            &store,
-            &b,
-            &chunks_for(&store, &b),
-            Some(&set_a),
-            ChunkFetch::Uncached,
-        )
-        .unwrap();
+        let (rows_b, stats_b, set_b) = reconstruct_with(&store, &b, Some(&set_a));
         let delta_io = store.tracker().delta(&before).stats.bytes_read;
 
         // Identical rows to a from-scratch reconstruction.
-        let (rows_full, _) = reconstruct_region(&store, &b, None).unwrap();
+        let (rows_full, _) = reconstruct_cold(&store, &b);
         assert_eq!(rows_b, rows_full);
         // Overlapping chunks were reused, and reuse really skipped I/O.
         assert!(stats_b.chunks_reused > 0, "overlapping regions share chunks");
@@ -561,13 +395,9 @@ mod tests {
     fn delta_same_region_reads_nothing() {
         let (store, _, _dir) = build("delta-same", 800, 256);
         let region = Region::new(vec![25.0, 25.0, 25.0], vec![75.0, 75.0, 75.0]).unwrap();
-        let chunks = chunks_for(&store, &region);
-        let (first, _, set) =
-            reconstruct_region_delta(&store, &region, &chunks, None, ChunkFetch::Uncached).unwrap();
+        let (first, _, set) = reconstruct_with(&store, &region, None);
         let before = store.tracker().snapshot();
-        let (second, stats, _) =
-            reconstruct_region_delta(&store, &region, &chunks, Some(&set), ChunkFetch::Uncached)
-                .unwrap();
+        let (second, stats, _) = reconstruct_with(&store, &region, Some(&set));
         assert_eq!(first, second);
         assert_eq!(stats.chunks_loaded, 0);
         assert_eq!(stats.chunk_bytes, 0);
@@ -578,30 +408,20 @@ mod tests {
     fn delta_composes_with_shared_cache() {
         let (store, _, _dir) = build("delta-shared", 1000, 256);
         let cache = SharedChunkCache::new(64 << 20, 4);
+        let mut fetch = |id| cache.get_or_load(&store, id);
         let a = Region::new(vec![0.0, 0.0, 0.0], vec![50.0, 50.0, 50.0]).unwrap();
         let b = Region::new(vec![10.0, 10.0, 10.0], vec![60.0, 60.0, 60.0]).unwrap();
-        let (_, _, set_a) = reconstruct_region_delta(
-            &store,
-            &a,
-            &chunks_for(&store, &a),
-            None,
-            ChunkFetch::Shared(&cache),
-        )
-        .unwrap();
+        let (_, _, set_a) =
+            reconstruct_region(&store, &a, &chunks_for(&store, &a), None, &mut fetch).unwrap();
         let hits_before = cache.stats().hits;
-        let (rows_b, stats_b, _) = reconstruct_region_delta(
-            &store,
-            &b,
-            &chunks_for(&store, &b),
-            Some(&set_a),
-            ChunkFetch::Shared(&cache),
-        )
-        .unwrap();
+        let (rows_b, stats_b, _) =
+            reconstruct_region(&store, &b, &chunks_for(&store, &b), Some(&set_a), &mut fetch)
+                .unwrap();
         // Reused chunks never touch the cache: hit count only moves for
         // the delta chunks (which may hit if b's extra chunks were loaded
         // for a — impossible here since set_a covers exactly a's chunks).
         assert_eq!(cache.stats().hits, hits_before);
-        let (rows_full, _) = reconstruct_region(&store, &b, None).unwrap();
+        let (rows_full, _) = reconstruct_cold(&store, &b);
         assert_eq!(rows_b, rows_full);
         assert!(stats_b.chunks_reused > 0);
     }
@@ -610,26 +430,17 @@ mod tests {
     fn shared_fetch_matches_uncached() {
         let (store, rows, _dir) = build("sharedfetch", 900, 256);
         let region = Region::new(vec![15.0, 5.0, 30.0], vec![85.0, 95.0, 70.0]).unwrap();
+        let chunks = chunks_for(&store, &region);
         let cache = SharedChunkCache::new(64 << 20, 4);
-        let (got, stats) = reconstruct_region_with_chunks(
-            &store,
-            &region,
-            &chunks_for(&store, &region),
-            ChunkFetch::Shared(&cache),
-        )
-        .unwrap();
+        let mut fetch = |id| cache.get_or_load(&store, id);
+        let (got, stats, _) =
+            reconstruct_region(&store, &region, &chunks, None, &mut fetch).unwrap();
         let got_ids: Vec<u64> = got.iter().map(|p| p.id.as_u64()).collect();
         assert_eq!(got_ids, brute_force(&rows, &region));
         assert!(stats.chunks_loaded > 0);
         // Second pass: all hits, zero modeled I/O.
         let before = store.tracker().snapshot();
-        let (again, _) = reconstruct_region_with_chunks(
-            &store,
-            &region,
-            &chunks_for(&store, &region),
-            ChunkFetch::Shared(&cache),
-        )
-        .unwrap();
+        let (again, _, _) = reconstruct_region(&store, &region, &chunks, None, &mut fetch).unwrap();
         assert_eq!(got, again);
         assert_eq!(store.tracker().delta(&before).stats.bytes_read, 0);
     }
@@ -638,7 +449,7 @@ mod tests {
     fn stats_entries_bounded_by_work() {
         let (store, _, _dir) = build("stats", 600, 256);
         let region = Region::new(vec![40.0, 40.0, 40.0], vec![60.0, 60.0, 60.0]).unwrap();
-        let (_, stats) = reconstruct_region(&store, &region, None).unwrap();
+        let (_, stats) = reconstruct_cold(&store, &region);
         assert!(stats.id_updates >= stats.result_rows * 3, "each result row updated 3 times");
         assert!(stats.seed_candidates >= stats.result_rows);
     }

@@ -4,18 +4,16 @@
 //! survival across kills at arbitrary write boundaries).
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use proptest::prelude::*;
-use uei_storage::cache::{ChunkCache, SharedChunkCache};
+use uei_storage::cache::{SessionChunkView, SharedChunkCache};
 use uei_storage::chunk::{Chunk, ChunkId};
 use uei_storage::fault::{FaultConfig, FaultInjector, KillMode};
 use uei_storage::io::{DiskTracker, IoProfile};
 use uei_storage::journal::{FsyncPolicy, JournalConfig, SessionJournal};
 use uei_storage::lru::LruMap;
-use uei_storage::merge::{
-    reconstruct_region, reconstruct_region_delta, reconstruct_region_with_chunks, ChunkFetch,
-    RegionChunkSet,
-};
+use uei_storage::merge::{reconstruct_region, RegionChunkSet};
 use uei_storage::postings::PostingList;
 use uei_storage::store::{ColumnStore, StoreConfig};
 use uei_types::{AttributeDef, DataPoint, Region, Schema};
@@ -35,6 +33,9 @@ fn chunks_for(store: &ColumnStore, region: &Region) -> Vec<Vec<ChunkId>> {
         })
         .collect()
 }
+
+/// What `reconstruct_region` fetches chunks through.
+type Fetch<'a> = dyn FnMut(ChunkId) -> uei_types::Result<Arc<Chunk>> + 'a;
 
 fn posting_strategy() -> impl Strategy<Value = PostingList> {
     (-1e6f64..1e6, proptest::collection::btree_set(0u64..100_000, 1..30)).prop_map(|(key, ids)| {
@@ -110,7 +111,9 @@ proptest! {
             vec![qx, qy],
             vec![(qx + wx).min(10.5), (qy + wy).min(10.5)],
         ).unwrap();
-        let (got, stats) = reconstruct_region(&store, &region, None).unwrap();
+        let (got, stats, _) = reconstruct_region(
+            &store, &region, &chunks_for(&store, &region), None,
+            &mut |id| store.read_chunk(id).map(Arc::new)).unwrap();
         let expect: Vec<u64> = rows
             .iter()
             .filter(|p| region.contains(&p.values).unwrap())
@@ -124,12 +127,13 @@ proptest! {
         }
             }
 
-    /// Every fetch mode — uncached, private LRU, shared concurrent cache,
-    /// and delta reconstruction against the previous region — returns
-    /// bit-identical rows for the same region sequence, at any cache
-    /// budget (including 0, where everything bypasses admission).
+    /// Every way a caller fetches — plain read+decode, the shared
+    /// concurrent cache, a session's ghost-ledger view — with and without
+    /// the previous region's chunk set returns the rows brute force finds,
+    /// for the same region sequence, at any cache budget (including 0,
+    /// where everything bypasses admission).
     #[test]
-    fn all_cache_modes_reconstruct_identical_rows(
+    fn every_fetch_path_reconstructs_brute_force_rows(
         values in proptest::collection::vec((0.0f64..10.0, 0.0f64..10.0), 1..100),
         queries in proptest::collection::vec(
             (0.0f64..10.0, 0.0f64..10.0, 0.1f64..5.0, 0.1f64..5.0), 1..5),
@@ -147,15 +151,20 @@ proptest! {
             .map(|(i, &(x, y))| DataPoint::new(i as u64, vec![x, y]))
             .collect();
         let tracker = DiskTracker::new(IoProfile::instant());
-        let store = ColumnStore::create(
+        let store = Arc::new(ColumnStore::create(
             dir.path(), schema, &rows, StoreConfig { chunk_target_bytes: chunk_bytes }, tracker)
-            .unwrap();
+            .unwrap());
 
         // 0 = bypass everything, 1 = tight (evictions), 2 = unbounded.
         let budget = match budget_sel { 0 => 0, 1 => 4 * chunk_bytes, _ => usize::MAX };
-        let mut local = ChunkCache::new(budget);
         let shared = SharedChunkCache::new(budget, 4);
-        let mut prev: Option<RegionChunkSet> = None;
+        let mut view = SessionChunkView::new(
+            Arc::new(SharedChunkCache::new(budget, 4)),
+            Arc::clone(&store) as Arc<dyn uei_storage::ChunkSource>,
+            budget,
+        );
+        // One retained chunk set per fetch path.
+        let mut prev: [Option<RegionChunkSet>; 3] = [None, None, None];
 
         for (qx, qy, wx, wy) in queries {
             let region = Region::new(
@@ -163,31 +172,39 @@ proptest! {
                 vec![(qx + wx).min(10.5), (qy + wy).min(10.5)],
             ).unwrap();
             let chunks = chunks_for(&store, &region);
-
-            let (base, _) = reconstruct_region_with_chunks(
-                &store, &region, &chunks, ChunkFetch::Uncached).unwrap();
-            let (cached, _) = reconstruct_region_with_chunks(
-                &store, &region, &chunks, ChunkFetch::Cached(&mut local)).unwrap();
-            let (shared_rows, _) = reconstruct_region_with_chunks(
-                &store, &region, &chunks, ChunkFetch::Shared(&shared)).unwrap();
-            let (delta_rows, _, set) = reconstruct_region_delta(
-                &store, &region, &chunks, prev.as_ref(), ChunkFetch::Uncached).unwrap();
-            prev = Some(set);
-
-            prop_assert_eq!(&cached, &base, "private LRU diverged");
-            prop_assert_eq!(&shared_rows, &base, "shared cache diverged");
-            prop_assert_eq!(&delta_rows, &base, "delta reconstruction diverged");
-
-            // And all of them match brute force over the raw rows.
             let expect: Vec<u64> = rows
                 .iter()
                 .filter(|p| region.contains(&p.values).unwrap())
                 .map(|p| p.id.as_u64())
                 .collect();
-            let got: Vec<u64> = base.iter().map(|p| p.id.as_u64()).collect();
-            prop_assert_eq!(got, expect);
-        }
+
+            let mut plain = |id| store.read_chunk(id).map(Arc::new);
+            let mut through_shared = |id| shared.get_or_load(store.as_ref(), id);
+            let mut through_view = |id| view.get_or_load(store.as_ref(), id);
+            let fetches: [(&str, &mut Fetch); 3] = [
+                ("plain", &mut plain),
+                ("shared cache", &mut through_shared),
+                ("session view", &mut through_view),
+            ];
+            for ((name, fetch), prev) in fetches.into_iter().zip(&mut prev) {
+                let (cold, cold_stats, _) =
+                    reconstruct_region(store.as_ref(), &region, &chunks, None, fetch).unwrap();
+                let (delta, delta_stats, set) =
+                    reconstruct_region(store.as_ref(), &region, &chunks, prev.as_ref(), fetch)
+                        .unwrap();
+                let cold_ids: Vec<u64> = cold.iter().map(|p| p.id.as_u64()).collect();
+                prop_assert_eq!(&cold_ids, &expect, "{} without prev", name);
+                prop_assert_eq!(&delta, &cold, "{} with prev", name);
+                prop_assert_eq!(cold_stats.chunks_reused, 0);
+                prop_assert_eq!(
+                    delta_stats.chunks_loaded + delta_stats.chunks_reused,
+                    cold_stats.chunks_loaded,
+                    "{}: reuse only replaces fetches", name
+                );
+                *prev = Some(set);
             }
+        }
+    }
 
     /// Any single-bit flip anywhere in a chunk *file* is rejected by the
     /// catalog CRC in `read_chunk_bytes` — i.e. before any decode work —

@@ -128,7 +128,13 @@ fn prefetcher_records_failure_and_foreground_still_errors_typed() {
         std::fs::write(&path, bytes).unwrap();
     }
 
-    let pre = Prefetcher::spawn(store.dir(), IoProfile::instant(), grid, mapping).unwrap();
+    // The worker reads through its own handle to the store, filling the
+    // cache it would share with a foreground loader.
+    let background = store.with_tracker(DiskTracker::new(IoProfile::instant()));
+    let cache = uei::storage::SharedChunkCache::with_default_shards(1 << 20);
+    let pre =
+        Prefetcher::spawn(Arc::new(background), Arc::new(grid), Arc::new(mapping), Arc::new(cache))
+            .unwrap();
     pre.request(0);
     // Wait for the worker to process and record the failure.
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
