@@ -105,7 +105,7 @@ pub fn run_session(
     let config = session_config(scale, run, variation);
     match scheme {
         Scheme::Uei => {
-            let (store, tracker) = fixture.open_store(IoProfile::nvme())?;
+            let (store, _) = fixture.open_store(IoProfile::nvme())?;
             let uei_config = UeiConfig {
                 cells_per_dim: variation.cells_per_dim.unwrap_or(scale.cells_per_dim),
                 chunk_cache_bytes: fixture.uei_cache_bytes(&store),
@@ -126,7 +126,8 @@ pub fn run_session(
             if variation.random_strategy {
                 backend.use_random_strategy(config.seed ^ 0xA1EA);
             }
-            ExplorationSession::new(&mut backend, oracle, config, tracker).run()
+            let clock = backend.index().store().tracker().clone();
+            ExplorationSession::new(&mut backend, oracle, config, clock).run()
         }
         Scheme::Dbms => {
             let (table, pool, tracker) = fixture.open_table(IoProfile::nvme())?;

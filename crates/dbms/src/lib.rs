@@ -20,9 +20,7 @@
 //! - [`table`] — typed row storage (`row id` + `f64` attributes) on top of
 //!   heap + buffer pool, with full-scan iteration;
 //! - [`scan`] — the exhaustive most-uncertain-tuple search (Algorithm 1
-//!   line 6, executed over the full table);
-//! - [`btree`] — an in-memory B+-tree used for single-attribute secondary
-//!   indexes (range queries for the oracle's ground truth).
+//!   line 6, executed over the full table).
 
 #![warn(missing_docs)]
 // Lint policy: `!(a <= b)` comparisons are deliberate — they reject NaN as
@@ -32,14 +30,12 @@
 #![allow(clippy::neg_cmp_op_on_partial_ord)]
 #![allow(clippy::needless_range_loop)]
 
-pub mod btree;
 pub mod buffer;
 pub mod heap;
 pub mod page;
 pub mod scan;
 pub mod table;
 
-pub use btree::BPlusTree;
 pub use buffer::{BufferPool, BufferStats};
 pub use heap::HeapFile;
 pub use page::{Page, PageId, PAGE_SIZE};

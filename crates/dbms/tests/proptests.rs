@@ -1,8 +1,7 @@
-//! Property-based tests for the row store: pages, heap/table round-trips,
-//! and B+-tree vs a sorted reference.
+//! Property-based tests for the row store: pages and heap/table
+//! round-trips.
 
 use proptest::prelude::*;
-use uei_dbms::btree::BPlusTree;
 use uei_dbms::buffer::BufferPool;
 use uei_dbms::page::Page;
 use uei_dbms::table::Table;
@@ -60,46 +59,6 @@ proptest! {
         table.scan(&mut pool, |p| seen.push(p)).unwrap();
         prop_assert_eq!(seen, rows);
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn btree_range_matches_sorted_reference(
-        entries in proptest::collection::vec((-1e3f64..1e3, 0u64..10_000), 0..400),
-        lo in -1.2e3f64..1.2e3,
-        width in 0.0f64..500.0,
-        order in 3usize..24,
-    ) {
-        let mut tree = BPlusTree::new(order).unwrap();
-        for &(v, r) in &entries {
-            tree.insert(v, r).unwrap();
-        }
-        let hi = lo + width;
-        let got = tree.range_entries(lo, hi);
-        let mut want: Vec<(f64, u64)> = entries
-            .iter()
-            .filter(|(v, _)| *v >= lo && *v <= hi)
-            .copied()
-            .collect();
-        want.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap().then(a.1.cmp(&b.1)));
-        prop_assert_eq!(got, want);
-    }
-
-    #[test]
-    fn btree_iter_all_is_globally_sorted(
-        entries in proptest::collection::vec((-1e3f64..1e3, 0u64..10_000), 0..300),
-        order in 3usize..16,
-    ) {
-        let mut tree = BPlusTree::new(order).unwrap();
-        for &(v, r) in &entries {
-            tree.insert(v, r).unwrap();
-        }
-        prop_assert_eq!(tree.len(), entries.len());
-        let all = tree.iter_all();
-        prop_assert_eq!(all.len(), entries.len());
-        for w in all.windows(2) {
-            let cmp = w[0].0.partial_cmp(&w[1].0).unwrap().then(w[0].1.cmp(&w[1].1));
-            prop_assert!(cmp.is_lt(), "{:?} !< {:?}", w[0], w[1]);
-        }
     }
 
     #[test]

@@ -164,9 +164,12 @@ pub struct UeiBackend {
 }
 
 impl UeiBackend {
-    /// Builds the scheme over an initialized column store: constructs the
-    /// index (lines 7–11) and fills the unlabeled cache `U` with a uniform
-    /// sample of `gamma` rows (line 12).
+    /// Builds the scheme over an initialized column store — the paper's
+    /// single-analyst setting: the one session of a private [`EngineCore`]
+    /// (lines 7–11), its unlabeled cache `U` filled with a uniform sample
+    /// of `gamma` rows (line 12). `store`'s tracker becomes the engine's
+    /// physical I/O ledger; the session's modeled clock is
+    /// `backend.index().store().tracker()`, as for [`Self::from_engine`].
     pub fn new(
         store: Arc<ColumnStore>,
         config: UeiConfig,
@@ -174,16 +177,7 @@ impl UeiBackend {
         gamma: usize,
         rng: &mut Rng,
     ) -> Result<UeiBackend> {
-        let regions_in_memory = config.regions_in_memory;
-        let index = UeiIndex::build_with_measure(store, config, measure)?;
-        let sample = index.sample_unlabeled(gamma, rng)?;
-        Ok(UeiBackend {
-            index,
-            pool: UnlabeledPool::with_region_capacity(sample, regions_in_memory),
-            strategy: Box::new(UncertaintySampling::new(measure)),
-            gamma,
-            rescored_train_len: 0,
-        })
+        Self::from_engine(&EngineCore::with_measure(store, config, measure)?, gamma, rng)
     }
 
     /// Builds the scheme as one session of a shared [`EngineCore`]: the
@@ -520,15 +514,15 @@ mod tests {
         dir
     }
 
+    /// A backend plus its session's modeled clock.
     fn uei_backend(tag: &str, n: usize) -> (UeiBackend, DiskTracker, PathBuf) {
         let dir = temp_dir(tag);
-        let tracker = DiskTracker::new(IoProfile::instant());
         let store = ColumnStore::create(
             dir.join("store"),
             uei_types::Schema::sdss(),
             &sdss_rows(n),
             StoreConfig { chunk_target_bytes: 4096 },
-            tracker.clone(),
+            DiskTracker::new(IoProfile::instant()),
         )
         .unwrap();
         let mut rng = Rng::new(3);
@@ -540,6 +534,7 @@ mod tests {
             &mut rng,
         )
         .unwrap();
+        let tracker = backend.index().store().tracker().clone();
         (backend, tracker, dir)
     }
 

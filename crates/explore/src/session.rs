@@ -925,27 +925,40 @@ mod tests {
         }
     }
 
-    #[test]
-    fn uei_session_runs_and_improves() {
-        let (rows, oracle, dir) = fixture("uei", 4000, 0.02);
-        let tracker = DiskTracker::new(IoProfile::instant());
+    /// A single-analyst UEI backend over a fresh store at `path`, plus the
+    /// session's modeled clock to drive it with.
+    fn uei_backend(
+        path: PathBuf,
+        rows: &[DataPoint],
+        profile: IoProfile,
+        gamma: usize,
+        seed: u64,
+    ) -> (UeiBackend, DiskTracker) {
         let store = ColumnStore::create(
-            dir.join("store"),
+            path,
             Schema::sdss(),
-            &rows,
+            rows,
             StoreConfig { chunk_target_bytes: 8192 },
-            tracker.clone(),
+            DiskTracker::new(profile),
         )
         .unwrap();
-        let mut rng = Rng::new(1);
-        let mut backend = UeiBackend::new(
+        let backend = UeiBackend::new(
             Arc::new(store),
             UeiConfig { cells_per_dim: 3, ..UeiConfig::default() },
             UncertaintyMeasure::LeastConfidence,
-            300,
-            &mut rng,
+            gamma,
+            &mut Rng::new(seed),
         )
         .unwrap();
+        let clock = backend.index().store().tracker().clone();
+        (backend, clock)
+    }
+
+    #[test]
+    fn uei_session_runs_and_improves() {
+        let (rows, oracle, dir) = fixture("uei", 4000, 0.02);
+        let (mut backend, tracker) =
+            uei_backend(dir.join("store"), &rows, IoProfile::instant(), 300, 1);
         let result =
             ExplorationSession::new(&mut backend, &oracle, quick_config(), tracker).run().unwrap();
         assert_eq!(result.backend, "uei");
@@ -980,24 +993,8 @@ mod tests {
     #[test]
     fn traces_are_well_formed() {
         let (rows, oracle, dir) = fixture("traces", 2500, 0.02);
-        let tracker = DiskTracker::new(IoProfile::nvme());
-        let store = ColumnStore::create(
-            dir.join("store"),
-            Schema::sdss(),
-            &rows,
-            StoreConfig { chunk_target_bytes: 8192 },
-            tracker.clone(),
-        )
-        .unwrap();
-        let mut rng = Rng::new(2);
-        let mut backend = UeiBackend::new(
-            Arc::new(store),
-            UeiConfig { cells_per_dim: 3, ..UeiConfig::default() },
-            UncertaintyMeasure::LeastConfidence,
-            200,
-            &mut rng,
-        )
-        .unwrap();
+        let (mut backend, tracker) =
+            uei_backend(dir.join("store"), &rows, IoProfile::nvme(), 200, 2);
         let result =
             ExplorationSession::new(&mut backend, &oracle, quick_config(), tracker).run().unwrap();
         for (i, t) in result.traces.iter().enumerate() {
@@ -1021,24 +1018,8 @@ mod tests {
         // 0.1 % region in 3000 rows = ~3 relevant tuples; a 100-row
         // bootstrap pool will essentially never contain one.
         let (rows, oracle, dir) = fixture("seedpos", 3000, 0.001);
-        let tracker = DiskTracker::new(IoProfile::instant());
-        let store = ColumnStore::create(
-            dir.join("store"),
-            Schema::sdss(),
-            &rows,
-            StoreConfig { chunk_target_bytes: 8192 },
-            tracker.clone(),
-        )
-        .unwrap();
-        let mut rng = Rng::new(3);
-        let mut backend = UeiBackend::new(
-            Arc::new(store),
-            UeiConfig { cells_per_dim: 3, ..UeiConfig::default() },
-            UncertaintyMeasure::LeastConfidence,
-            100,
-            &mut rng,
-        )
-        .unwrap();
+        let (mut backend, tracker) =
+            uei_backend(dir.join("store"), &rows, IoProfile::instant(), 100, 3);
         let config = SessionConfig {
             max_labels: 10,
             bootstrap_size: 100,
@@ -1054,24 +1035,8 @@ mod tests {
     fn batch_size_reduces_retraining_but_still_learns() {
         let (rows, oracle, dir) = fixture("batch", 2500, 0.02);
         let run = |batch: usize, tag: &str| {
-            let tracker = DiskTracker::new(IoProfile::instant());
-            let store = ColumnStore::create(
-                dir.join(tag),
-                Schema::sdss(),
-                &rows,
-                StoreConfig { chunk_target_bytes: 8192 },
-                tracker.clone(),
-            )
-            .unwrap();
-            let mut rng = Rng::new(4);
-            let mut backend = UeiBackend::new(
-                Arc::new(store),
-                UeiConfig { cells_per_dim: 3, ..UeiConfig::default() },
-                UncertaintyMeasure::LeastConfidence,
-                200,
-                &mut rng,
-            )
-            .unwrap();
+            let (mut backend, tracker) =
+                uei_backend(dir.join(tag), &rows, IoProfile::instant(), 200, 4);
             let config = SessionConfig {
                 max_labels: 20,
                 batch_size: batch,
@@ -1092,24 +1057,8 @@ mod tests {
     #[test]
     fn zero_batch_size_rejected() {
         let (rows, oracle, dir) = fixture("zerobatch", 1000, 0.02);
-        let tracker = DiskTracker::new(IoProfile::instant());
-        let store = ColumnStore::create(
-            dir.join("store"),
-            Schema::sdss(),
-            &rows,
-            StoreConfig { chunk_target_bytes: 8192 },
-            tracker.clone(),
-        )
-        .unwrap();
-        let mut rng = Rng::new(4);
-        let mut backend = UeiBackend::new(
-            Arc::new(store),
-            UeiConfig { cells_per_dim: 3, ..UeiConfig::default() },
-            UncertaintyMeasure::LeastConfidence,
-            100,
-            &mut rng,
-        )
-        .unwrap();
+        let (mut backend, tracker) =
+            uei_backend(dir.join("store"), &rows, IoProfile::instant(), 100, 4);
         let config = SessionConfig { batch_size: 0, max_labels: 5, ..SessionConfig::default() };
         assert!(ExplorationSession::new(&mut backend, &oracle, config, tracker).run().is_err());
         std::fs::remove_dir_all(&dir).ok();
@@ -1119,24 +1068,8 @@ mod tests {
     fn deterministic_given_seed() {
         let (rows, oracle, dir) = fixture("det", 2000, 0.02);
         let run = |tag: &str| -> SessionResult {
-            let tracker = DiskTracker::new(IoProfile::instant());
-            let store = ColumnStore::create(
-                dir.join(tag),
-                Schema::sdss(),
-                &rows,
-                StoreConfig { chunk_target_bytes: 8192 },
-                tracker.clone(),
-            )
-            .unwrap();
-            let mut rng = Rng::new(7);
-            let mut backend = UeiBackend::new(
-                Arc::new(store),
-                UeiConfig { cells_per_dim: 3, ..UeiConfig::default() },
-                UncertaintyMeasure::LeastConfidence,
-                150,
-                &mut rng,
-            )
-            .unwrap();
+            let (mut backend, tracker) =
+                uei_backend(dir.join(tag), &rows, IoProfile::instant(), 150, 7);
             ExplorationSession::new(&mut backend, &oracle, quick_config(), tracker).run().unwrap()
         };
         let a = run("a");

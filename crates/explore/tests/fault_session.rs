@@ -4,39 +4,51 @@
 //! iteration — zero aborts — absorbing faults through loader retries, the
 //! candidate fallback ladder, and (when every candidate fails) pool-served
 //! degraded iterations.
+//!
+//! Read faults attach where chunk reads physically happen: the tracker of
+//! the store the engine was built over (its I/O ledger). The session is
+//! driven on its own modeled clock, `backend.index().store().tracker()`.
 
 use std::sync::Arc;
 
 use uei_explore::backend::UeiBackend;
+use uei_explore::multi::{run_sessions_concurrently, SessionSpec};
 use uei_explore::oracle::Oracle;
 use uei_explore::session::{ExplorationSession, SessionConfig};
 use uei_explore::synth::{generate_sdss_like, SynthConfig};
 use uei_explore::workload::generate_target_region_fraction;
 use uei_index::config::UeiConfig;
+use uei_index::engine::EngineCore;
 use uei_learn::strategy::UncertaintyMeasure;
 use uei_storage::fault::{FaultConfig, FaultInjector};
 use uei_storage::io::{DiskTracker, IoProfile};
 use uei_storage::store::{ColumnStore, StoreConfig};
 use uei_storage::TempDir;
-use uei_types::{Rng, Schema};
+use uei_types::{DataPoint, Rng, Schema};
 
-#[test]
-fn fifty_iterations_survive_transient_and_corrupt_faults() {
-    let dir = TempDir::new("fault-session");
-    let rows = generate_sdss_like(&SynthConfig { rows: 6000, ..Default::default() });
+/// `n` synthetic rows, the simulated user for a 2 % target region, and a
+/// fresh store of them under `dir` (its tracker becomes the physical
+/// ledger of whatever engine is built over it).
+fn fixture(dir: &TempDir, n: usize, chunk_bytes: usize) -> (Vec<DataPoint>, Oracle, ColumnStore) {
+    let rows = generate_sdss_like(&SynthConfig { rows: n, ..Default::default() });
     let mut rng = Rng::new(13);
     let target = generate_target_region_fraction(&rows, &Schema::sdss(), 0.02, &mut rng).unwrap();
-    let oracle = Oracle::new(target);
-
-    let tracker = DiskTracker::new(IoProfile::instant());
     let store = ColumnStore::create(
         dir.join("store"),
         Schema::sdss(),
         &rows,
-        StoreConfig { chunk_target_bytes: 2048 },
-        tracker.clone(),
+        StoreConfig { chunk_target_bytes: chunk_bytes },
+        DiskTracker::new(IoProfile::instant()),
     )
     .unwrap();
+    (rows, Oracle::new(target), store)
+}
+
+#[test]
+fn fifty_iterations_survive_transient_and_corrupt_faults() {
+    let dir = TempDir::new("fault-session");
+    let (_, oracle, store) = fixture(&dir, 6000, 2048);
+    let tracker = store.tracker().clone();
     let mut backend_rng = Rng::new(1);
     let mut backend = UeiBackend::new(
         Arc::new(store),
@@ -69,7 +81,8 @@ fn fifty_iterations_survive_transient_and_corrupt_faults() {
         eval_sample: 300,
         ..SessionConfig::default()
     };
-    let result = ExplorationSession::new(&mut backend, &oracle, config, tracker.clone())
+    let clock = backend.index().store().tracker().clone();
+    let result = ExplorationSession::new(&mut backend, &oracle, config, clock)
         .run()
         .expect("session must complete despite injected faults");
 
@@ -100,20 +113,7 @@ fn fifty_iterations_survive_transient_and_corrupt_faults() {
 #[test]
 fn clean_session_reports_zero_fault_counters() {
     let dir = TempDir::new("clean-session");
-    let rows = generate_sdss_like(&SynthConfig { rows: 3000, ..Default::default() });
-    let mut rng = Rng::new(13);
-    let target = generate_target_region_fraction(&rows, &Schema::sdss(), 0.02, &mut rng).unwrap();
-    let oracle = Oracle::new(target);
-
-    let tracker = DiskTracker::new(IoProfile::instant());
-    let store = ColumnStore::create(
-        dir.join("store"),
-        Schema::sdss(),
-        &rows,
-        StoreConfig { chunk_target_bytes: 4096 },
-        tracker.clone(),
-    )
-    .unwrap();
+    let (_, oracle, store) = fixture(&dir, 3000, 4096);
     let mut backend_rng = Rng::new(2);
     let mut backend = UeiBackend::new(
         Arc::new(store),
@@ -129,8 +129,84 @@ fn clean_session_reports_zero_fault_counters() {
         eval_sample: 200,
         ..SessionConfig::default()
     };
-    let result = ExplorationSession::new(&mut backend, &oracle, config, tracker).run().unwrap();
+    let clock = backend.index().store().tracker().clone();
+    let result = ExplorationSession::new(&mut backend, &oracle, config, clock).run().unwrap();
     assert!(result.traces.iter().all(|t| t.counters.retries == 0));
     assert!(result.traces.iter().all(|t| t.counters.fallback_cells == 0));
     assert!(result.traces.iter().all(|t| !t.counters.degraded));
+}
+
+/// The same fault mix through the path every benchmark workload runs: two
+/// concurrent sessions over one `EngineCore`, injector on the engine's I/O
+/// ledger. A failed physical read reaches the requesting session as a typed
+/// error through the shared cache (failures are never cached, single-flight
+/// waiters retry for themselves) and is absorbed by *that session's* retry
+/// policy and fallback ladder.
+#[test]
+fn concurrent_engine_sessions_survive_faults_on_the_io_ledger() {
+    let dir = TempDir::new("fault-engine");
+    let (rows, oracle, store) = fixture(&dir, 6000, 2048);
+    let engine = EngineCore::new(
+        Arc::new(store),
+        // A cache far smaller than the store: most loads still read
+        // physically, and what is admitted is shared between the sessions.
+        UeiConfig { cells_per_dim: 3, chunk_cache_bytes: 64 << 10, ..UeiConfig::default() },
+    )
+    .unwrap();
+    let injector = FaultInjector::new(FaultConfig {
+        seed: 77,
+        transient_prob: 0.10,
+        corrupt_prob: 0.01,
+        ..FaultConfig::off()
+    })
+    .unwrap();
+    engine.io_ledger().set_fault_injector(Some(Arc::clone(&injector)));
+
+    let specs: Vec<SessionSpec> = (0..2u64)
+        .map(|i| SessionSpec {
+            session: SessionConfig {
+                max_labels: 42, // 2 bootstrap labels + 40 iterations
+                bootstrap_size: 200,
+                eval_sample: 0,
+                seed: 500 + i,
+                ..SessionConfig::default()
+            },
+            sample_seed: 600 + i,
+            gamma: 300,
+            journal_dir: None,
+            postmortem_dir: None,
+        })
+        .collect();
+    // An untyped error anywhere would abort its session and fail this call;
+    // storage faults are absorbed (retry → fallback → pool-served).
+    let results = run_sessions_concurrently(&engine, &oracle, &specs)
+        .expect("both sessions must complete despite injected faults");
+    for (i, result) in results.iter().enumerate() {
+        assert_eq!(result.traces.len(), 40, "session {i}: zero aborted iterations");
+    }
+    let stats = injector.stats();
+    assert!(stats.transient_errors > 0 && stats.corruptions > 0, "injector fired: {stats:?}");
+    let retries: u64 = results.iter().flat_map(|r| &r.traces).map(|t| t.counters.retries).sum();
+    assert!(retries > 0, "transient faults on the ledger were retried by the sessions");
+
+    // Nothing that failed was cached: a read that fails for one session
+    // leaves the shared cache untouched, and the other session then reads
+    // the very same chunks cleanly.
+    let mut a = engine.open_session().unwrap();
+    let mut b = engine.open_session().unwrap();
+    engine.shared_cache().clear();
+    let always = FaultConfig { seed: 1, transient_prob: 1.0, ..FaultConfig::off() };
+    engine.io_ledger().set_fault_injector(Some(FaultInjector::new(always).unwrap()));
+    let err = a.load_cell(0).unwrap_err();
+    assert!(err.is_storage_fault(), "typed error expected, got {err}");
+    assert!(engine.shared_cache().is_empty(), "a failed read must not be admitted");
+    engine.io_ledger().set_fault_injector(None);
+    let (loaded, _) = b.load_cell(0).unwrap();
+    let region = b.grid().cell_region(0).unwrap();
+    let expected: Vec<u64> = rows
+        .iter()
+        .filter(|p| region.contains(&p.values).unwrap())
+        .map(|p| p.id.as_u64())
+        .collect();
+    assert_eq!(loaded.iter().map(|p| p.id.as_u64()).collect::<Vec<_>>(), expected);
 }

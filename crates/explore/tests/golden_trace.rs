@@ -58,13 +58,12 @@ fn run_pinned_session() -> Vec<String> {
     let target = generate_target_region_fraction(&rows, &Schema::sdss(), 0.02, &mut rng).unwrap();
     let oracle = Oracle::new(target);
 
-    let tracker = DiskTracker::new(IoProfile::instant());
     let store = ColumnStore::create(
         dir.join("store"),
         Schema::sdss(),
         &rows,
         StoreConfig { chunk_target_bytes: 8192 },
-        tracker.clone(),
+        DiskTracker::new(IoProfile::instant()),
     )
     .unwrap();
     let mut backend_rng = Rng::new(1);
@@ -82,7 +81,8 @@ fn run_pinned_session() -> Vec<String> {
         eval_sample: 400,
         ..SessionConfig::default()
     };
-    let result = ExplorationSession::new(&mut backend, &oracle, config, tracker).run().unwrap();
+    let clock = backend.index().store().tracker().clone();
+    let result = ExplorationSession::new(&mut backend, &oracle, config, clock).run().unwrap();
 
     result
         .traces

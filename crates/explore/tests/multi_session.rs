@@ -7,20 +7,23 @@
 //! by per-session state — only wall-clock times may differ. The shared
 //! cache's byte accounting must also stay exact under concurrent fills.
 //!
-//! Prefetch and fault injection stay off here: the prefetcher races the
-//! foreground by design (a prefetched region legitimately changes
-//! `prefetched`/`virtual_time` fields), so determinism is only promised
-//! without it.
+//! Prefetch stays off here: the prefetcher races the foreground by design
+//! (a prefetched region legitimately changes `prefetched`/`virtual_time`
+//! fields), so determinism is only promised without it. The one fault kind
+//! exercised is the latency spike, which is charged to the engine's I/O
+//! ledger and must never reach a session's modeled trace.
 
 use std::sync::Arc;
 
+use uei_explore::backend::UeiBackend;
 use uei_explore::multi::{run_sessions, run_sessions_concurrently, SessionSpec};
 use uei_explore::oracle::Oracle;
-use uei_explore::session::{IterationTrace, SessionConfig, SessionResult};
+use uei_explore::session::{ExplorationSession, IterationTrace, SessionConfig, SessionResult};
 use uei_explore::synth::{generate_sdss_like, SynthConfig};
 use uei_explore::workload::generate_target_region_fraction;
 use uei_index::config::UeiConfig;
 use uei_index::engine::EngineCore;
+use uei_learn::strategy::UncertaintyMeasure;
 use uei_storage::io::{DiskTracker, IoProfile};
 use uei_storage::store::{ColumnStore, StoreConfig};
 use uei_types::{Rng, Schema};
@@ -141,9 +144,113 @@ fn concurrent_sessions_are_bit_identical_to_sequential() {
     assert!(seq.iter().all(|r| !r.traces.is_empty()));
 }
 
+/// A latency spike is charged to the tracker that performed the read — the
+/// engine's I/O ledger — and to nobody else: a session's modeled clock must
+/// not depend on which neighbour happened to fill the cache, or on how slow
+/// the device was when it did.
+#[test]
+fn latency_spikes_bill_the_io_ledger_never_a_session() {
+    use uei_storage::fault::{FaultConfig, FaultInjector};
+    let rows = generate_sdss_like(&SynthConfig { rows: 3000, ..Default::default() });
+    let mut rng = Rng::new(13);
+    let target = generate_target_region_fraction(&rows, &Schema::sdss(), 0.02, &mut rng).unwrap();
+    let oracle = Oracle::new(target);
+    let d1 = uei_storage::TempDir::new("ms-spike-clean");
+    let d2 = uei_storage::TempDir::new("ms-spike-slow");
+    let clean_engine = build_engine(d1.path(), &rows);
+    let slow_engine = build_engine(d2.path(), &rows);
+    const PENALTY_SECS: f64 = 0.05;
+    let injector = FaultInjector::new(FaultConfig {
+        seed: 211,
+        slow_prob: 0.2,
+        slow_penalty_secs: PENALTY_SECS,
+        ..FaultConfig::off()
+    })
+    .unwrap();
+    slow_engine.io_ledger().set_fault_injector(Some(Arc::clone(&injector)));
+
+    let specs = &specs()[..2];
+    let before = (clean_engine.io_ledger().snapshot(), slow_engine.io_ledger().snapshot());
+    let clean = run_sessions_concurrently(&clean_engine, &oracle, specs).unwrap();
+    let slow = run_sessions_concurrently(&slow_engine, &oracle, specs).unwrap();
+
+    let spikes = injector.stats().latency_spikes;
+    assert!(spikes > 0, "spikes fired on the ledger");
+    assert_bit_identical(&clean, &slow);
+    let penalty = std::time::Duration::from_secs_f64(PENALTY_SECS * spikes as f64);
+    let clean_io = clean_engine.io_ledger().delta(&before.0).virtual_elapsed;
+    let slow_io = slow_engine.io_ledger().delta(&before.1).virtual_elapsed;
+    assert!(slow_io >= penalty, "the ledger's clock carries every spike: {slow_io:?}");
+    assert!(clean_io < penalty, "clean {clean_io:?} vs {spikes} spikes");
+}
+
+/// The single-analyst constructor is an engine session and nothing else:
+/// `UeiBackend::new(store, cfg, ..)` and `UeiBackend::from_engine` over
+/// `EngineCore::with_measure(store, cfg, ..)` agree on every modeled trace
+/// field, bit for bit, across cache budgets from "most chunks evicted" to
+/// "everything fits" — the regimes where a second cache model (per-stripe
+/// admission, prefetcher-inclusive counters) would show.
+#[test]
+fn single_analyst_constructor_is_exactly_an_engine_session() {
+    let rows = generate_sdss_like(&SynthConfig { rows: 20_000, ..Default::default() });
+    let mut rng = Rng::new(13);
+    let target = generate_target_region_fraction(&rows, &Schema::sdss(), 0.02, &mut rng).unwrap();
+    let oracle = Oracle::new(target);
+    let dir = uei_storage::TempDir::new("ms-one-way-in");
+    let store = ColumnStore::create(
+        dir.path(),
+        Schema::sdss(),
+        &rows,
+        StoreConfig { chunk_target_bytes: 8192 },
+        DiskTracker::new(IoProfile::nvme()),
+    )
+    .unwrap();
+    // Each side gets its own handle (own ledger) over the same files.
+    let handle = || Arc::new(store.with_tracker(DiskTracker::new(IoProfile::nvme())));
+    let measure = UncertaintyMeasure::LeastConfidence;
+    let (gamma, sample_seed) = (400, 7);
+    let session = SessionConfig {
+        max_labels: 60,
+        bootstrap_size: 300,
+        eval_sample: 0,
+        seed: 99,
+        ..SessionConfig::default()
+    };
+    let run = |mut backend: UeiBackend| {
+        let clock = backend.index().store().tracker().clone();
+        ExplorationSession::new(&mut backend, &oracle, session.clone(), clock).run().unwrap()
+    };
+
+    for budget in [64 << 10, 128 << 10, 256 << 10, 1 << 20] {
+        let config = UeiConfig {
+            cells_per_dim: 5,
+            chunk_cache_bytes: budget,
+            prefetch: false,
+            ..UeiConfig::default()
+        };
+        let built = run(UeiBackend::new(
+            handle(),
+            config.clone(),
+            measure,
+            gamma,
+            &mut Rng::new(sample_seed),
+        )
+        .unwrap());
+        let engine = EngineCore::with_measure(handle(), config, measure).unwrap();
+        let opened =
+            run(UeiBackend::from_engine(&engine, gamma, &mut Rng::new(sample_seed)).unwrap());
+        assert!(built.traces.len() >= 50, "budget {budget}: {} iterations", built.traces.len());
+        assert!(
+            built.traces.iter().map(|t| t.bytes_read).sum::<u64>() > 0,
+            "budget {budget}: the session read chunks"
+        );
+        assert_bit_identical(&[built], &[opened]);
+    }
+}
+
 mod score_cache_independence {
     use super::*;
-    use uei_explore::backend::{ExplorationBackend, UeiBackend};
+    use uei_explore::backend::ExplorationBackend;
     use uei_learn::dataset::LabeledSet;
     use uei_learn::EstimatorKind;
     use uei_types::{DataPoint, Label};

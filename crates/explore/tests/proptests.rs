@@ -336,14 +336,13 @@ fn sessions_replay_bit_for_bit() {
             std::thread::current().id()
         ));
         let _ = std::fs::remove_dir_all(&dir);
-        let tracker = DiskTracker::new(IoProfile::instant());
         let store = Arc::new(
             ColumnStore::create(
                 &dir,
                 Schema::sdss(),
                 &rows,
                 StoreConfig { chunk_target_bytes: 8192 },
-                tracker.clone(),
+                DiskTracker::new(IoProfile::instant()),
             )
             .unwrap(),
         );
@@ -357,7 +356,8 @@ fn sessions_replay_bit_for_bit() {
         )
         .unwrap();
         let config = SessionConfig { max_labels: 20, eval_sample: 300, ..SessionConfig::default() };
-        let result = ExplorationSession::new(&mut backend, &oracle, config, tracker).run().unwrap();
+        let clock = backend.index().store().tracker().clone();
+        let result = ExplorationSession::new(&mut backend, &oracle, config, clock).run().unwrap();
         std::fs::remove_dir_all(&dir).ok();
         result
     };

@@ -131,34 +131,39 @@ fn assert_same_run(golden: &SessionResult, got: &SessionResult, context: &str) {
 fn kill_point_matrix_recovers_bit_identically() {
     let (rows, oracle) = fixture(1500);
     let dir = uei_storage::TempDir::new("recovery-matrix");
-    let tracker = DiskTracker::new(IoProfile::instant());
     let injector = FaultInjector::new(FaultConfig { seed: 0xFEED, ..FaultConfig::off() }).unwrap();
-    tracker.set_fault_injector(Some(Arc::clone(&injector)));
     let store = Arc::new(
         ColumnStore::create(
             dir.path().join("store"),
             Schema::sdss(),
             &rows,
             StoreConfig { chunk_target_bytes: 8192 },
-            tracker.clone(),
+            DiskTracker::new(IoProfile::instant()),
         )
         .unwrap(),
     );
+    // Journal writes (and so kill points) happen on the tracker the session
+    // is driven with — each fresh backend's own modeled clock.
+    let fresh = || {
+        let backend = fresh_backend(&store);
+        let clock = backend.index().store().tracker().clone();
+        clock.set_fault_injector(Some(Arc::clone(&injector)));
+        (backend, clock)
+    };
 
     let run_journaled = |journal_dir: &Path| -> Result<SessionResult> {
-        let mut backend = fresh_backend(&store);
-        let mut session =
-            ExplorationSession::new(&mut backend, &oracle, session_config(), tracker.clone());
+        let (mut backend, clock) = fresh();
+        let mut session = ExplorationSession::new(&mut backend, &oracle, session_config(), clock);
         session.attach_journal(journal_dir, journal_config())?;
         session.run()
     };
     let recover_journaled = |journal_dir: &Path| -> Result<SessionResult> {
-        let mut backend = fresh_backend(&store);
+        let (mut backend, clock) = fresh();
         let (session, state) = ExplorationSession::recover(
             &mut backend,
             &oracle,
             session_config(),
-            tracker.clone(),
+            clock,
             journal_dir,
             journal_config(),
         )?;
@@ -167,10 +172,8 @@ fn kill_point_matrix_recovers_bit_identically() {
 
     // Baseline without a journal: journaling must not perturb the traces.
     let plain = {
-        let mut backend = fresh_backend(&store);
-        ExplorationSession::new(&mut backend, &oracle, session_config(), tracker.clone())
-            .run()
-            .unwrap()
+        let (mut backend, clock) = fresh();
+        ExplorationSession::new(&mut backend, &oracle, session_config(), clock).run().unwrap()
     };
 
     // Golden journaled run; count its journal write operations.

@@ -32,20 +32,19 @@ fn oracle_for(rows: &[DataPoint]) -> Oracle {
     Oracle::new(target)
 }
 
-/// Runs a fixed-seed standalone session with the given telemetry config
-/// and returns its result.
+/// Runs a fixed-seed single-analyst session with the given telemetry
+/// config and returns its result.
 fn run_fixed_session(tag: &str, telemetry: TelemetryConfig) -> SessionResult {
     let dir = TempDir::new(&format!("telemetry-{tag}"));
     let rows = generate_sdss_like(&SynthConfig { rows: 3000, ..Default::default() });
     let oracle = oracle_for(&rows);
 
-    let tracker = DiskTracker::new(IoProfile::instant());
     let store = ColumnStore::create(
         dir.join("store"),
         Schema::sdss(),
         &rows,
         StoreConfig { chunk_target_bytes: 8192 },
-        tracker.clone(),
+        DiskTracker::new(IoProfile::instant()),
     )
     .unwrap();
     let mut backend_rng = Rng::new(1);
@@ -63,7 +62,8 @@ fn run_fixed_session(tag: &str, telemetry: TelemetryConfig) -> SessionResult {
         eval_sample: 200,
         ..SessionConfig::default()
     };
-    ExplorationSession::new(&mut backend, &oracle, config, tracker).run().unwrap()
+    let clock = backend.index().store().tracker().clone();
+    ExplorationSession::new(&mut backend, &oracle, config, clock).run().unwrap()
 }
 
 /// Everything modeled about one iteration — every field that must not move

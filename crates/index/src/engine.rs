@@ -289,29 +289,4 @@ mod tests {
             "both sessions must model identical I/O for the same access"
         );
     }
-
-    #[test]
-    fn session_traces_match_standalone_index() {
-        // A session over a shared engine must behave exactly like a
-        // standalone index built over its own store handle.
-        let (store, _, _dir) = build_store("parity", 256);
-        let engine = EngineCore::new(Arc::clone(&store), test_config()).unwrap();
-        let mut session = engine.open_session().unwrap();
-
-        let solo_tracker = DiskTracker::new(store.tracker().profile());
-        let solo_store = Arc::new(store.with_tracker(solo_tracker));
-        let mut solo = UeiIndex::build(solo_store, test_config()).unwrap();
-
-        for probe in [[10.0, 10.0], [50.0, 50.0], [90.0, 90.0], [10.0, 10.0]] {
-            let cell = solo.grid().cell_of(&probe).unwrap();
-            let (rows_solo, _) = solo.load_cell(cell).unwrap();
-            let (rows_sess, _) = session.load_cell(cell).unwrap();
-            assert_eq!(rows_solo, rows_sess, "region contents must match");
-        }
-        let st = solo.store().tracker();
-        let se = session.store().tracker();
-        assert_eq!(st.stats(), se.stats());
-        assert_eq!(st.virtual_elapsed(), se.virtual_elapsed());
-        assert_eq!(solo.cache_stats(), session.cache_stats());
-    }
 }

@@ -15,16 +15,17 @@
 //! 4. the labeled set `L` → `uei_learn::LabeledSet`, held by the session;
 //! 5. the dataset `D` in inverted columnar format → `uei_storage`.
 //!
-//! [`uei::UeiIndex`] is the facade: it owns the grid, the mapping, a
-//! byte-budgeted chunk cache, and the optional background
-//! [`prefetch::Prefetcher`] (the σ/θ tuning of §3.2).
+//! [`uei::UeiIndex`] is the facade one analyst drives: index-point scores,
+//! a region loader billing a private ghost cache ledger and virtual disk
+//! clock, and the optional background [`prefetch::Prefetcher`] (the σ/θ
+//! tuning of §3.2).
 //!
-//! For concurrent multi-session exploration over one dataset,
-//! [`engine::EngineCore`] owns the `Arc`-shared immutable half (store
-//! handle, manifest, grid, mapping, shared chunk cache) and
-//! [`engine::EngineCore::open_session`] stamps out independent per-session
-//! `UeiIndex` drivers with private scores, ghost cache ledgers, and
-//! virtual disk clocks.
+//! Every `UeiIndex` is a session of an [`engine::EngineCore`], which owns
+//! the `Arc`-shared immutable half (store handle, manifest, grid, mapping,
+//! shared chunk cache): [`engine::EngineCore::open_session`] stamps out
+//! independent sessions for concurrent exploration over one dataset, and
+//! [`uei::UeiIndex::build`] is the one-session shorthand for the paper's
+//! single-analyst setting.
 
 #![warn(missing_docs)]
 // Lint policy: `!(a <= b)` comparisons are deliberate — they reject NaN as

@@ -465,7 +465,7 @@ mod tests {
     #[test]
     fn prefetcher_warmed_chunks_cost_foreground_nothing() {
         // Acceptance: a prefetched-then-swapped region performs zero
-        // foreground chunk reads for chunks the prefetcher already loaded.
+        // physical chunk reads for chunks the prefetcher already loaded.
         let (store, _, _dir) = build_store("warmzero", 1500);
         let config = UeiConfig { prefetch: true, ..small_config() };
         let mut index = UeiIndex::build(Arc::clone(&store), config).unwrap();
@@ -474,7 +474,10 @@ mod tests {
         pre.take_blocking(5, Duration::from_secs(10)).expect("prefetch completes");
         // The ready buffer is now empty for cell 5, so this foreground
         // load goes through the loader — but every chunk is resident in
-        // the shared cache the prefetcher filled.
+        // the shared cache the prefetcher filled, so nothing is read
+        // physically (`store`'s tracker is the engine's I/O ledger). The
+        // session is still billed like any ghost miss: its modeled clock
+        // must not depend on what the background thread got to first.
         let before = store.tracker().snapshot();
         let (rows, stats) = index.load_cell(5).unwrap();
         assert!(!rows.is_empty());
@@ -482,9 +485,9 @@ mod tests {
         assert_eq!(
             store.tracker().delta(&before).stats.bytes_read,
             0,
-            "zero foreground chunk reads for prefetcher-warmed chunks"
+            "zero physical chunk reads for prefetcher-warmed chunks"
         );
-        assert_eq!(stats.virtual_time, Duration::ZERO);
+        assert!(stats.virtual_time > Duration::ZERO, "ghost misses are billed to the session");
     }
 
     #[test]

@@ -36,20 +36,15 @@ pub struct LoadStats {
     pub retries: u64,
 }
 
-/// What a [`RegionLoader`] fetches chunks through: a handle to the
-/// concurrent cache shared with the prefetcher (standalone index: misses
-/// read through, and bill, the loader's own source), or a per-session view
-/// over an engine's shared cache (deterministic ghost accounting).
-#[derive(Debug)]
-enum LoaderCache {
-    Shared(Arc<SharedChunkCache>),
-    Session(SessionChunkView),
-}
-
-/// Loads grid cells from a [`ChunkSource`] through a bounded chunk cache.
+/// Loads grid cells from a [`ChunkSource`] through a session's view of the
+/// engine's chunk cache.
 pub struct RegionLoader {
+    /// The session's store handle: its tracker is the session's modeled
+    /// clock (ghost misses and retry backoff are billed to it).
     source: Arc<dyn ChunkSource>,
-    cache: LoaderCache,
+    /// Serves bytes from the engine's shared cache and decides, with its
+    /// deterministic ghost ledger, what the session is billed.
+    cache: SessionChunkView,
     /// Decoded chunks of the previously loaded region: the overlap with
     /// the next region is reused from here instead of refetched.
     prev: Option<RegionChunkSet>,
@@ -76,24 +71,14 @@ impl std::fmt::Debug for RegionLoader {
 }
 
 impl RegionLoader {
-    /// Creates a loader on a [`SharedChunkCache`] (typically also handed
-    /// to the prefetcher).
-    pub fn with_shared(source: Arc<dyn ChunkSource>, cache: Arc<SharedChunkCache>) -> RegionLoader {
-        RegionLoader::over(source, LoaderCache::Shared(cache))
-    }
-
     /// Creates a per-session loader over an engine's shared cache:
     /// `source` is the session's handle (its tracker is billed the
     /// session's modeled I/O), `view` decides the billing with its ghost
     /// ledger and serves bytes from the shared cache.
     pub fn with_session_view(source: Arc<dyn ChunkSource>, view: SessionChunkView) -> RegionLoader {
-        RegionLoader::over(source, LoaderCache::Session(view))
-    }
-
-    fn over(source: Arc<dyn ChunkSource>, cache: LoaderCache) -> RegionLoader {
         RegionLoader {
             source,
-            cache,
+            cache: view,
             prev: None,
             load_times: Welford::new(),
             recent_load: Ewma::default(),
@@ -113,33 +98,20 @@ impl RegionLoader {
         self.retry = policy;
     }
 
-    /// The active retry policy.
-    pub fn retry_policy(&self) -> RetryPolicy {
-        self.retry
-    }
-
     /// Cumulative transient-error retries across all loads.
     pub fn total_retries(&self) -> u64 {
         self.total_retries
     }
 
-    /// Chunk-cache statistics (of whichever cache backs this loader). For
-    /// a session loader these are the deterministic ghost counters, not
-    /// the shared cache's aggregate.
+    /// The session's deterministic ghost-ledger counters (not the shared
+    /// cache's aggregate).
     pub fn cache_stats(&self) -> CacheStats {
-        match &self.cache {
-            LoaderCache::Shared(c) => c.stats(),
-            LoaderCache::Session(v) => v.stats(),
-        }
+        self.cache.stats()
     }
 
-    /// The shared cache this loader runs on (directly or through a session
-    /// view).
+    /// The engine's shared cache behind this loader's session view.
     pub fn shared_cache(&self) -> &Arc<SharedChunkCache> {
-        match &self.cache {
-            LoaderCache::Shared(c) => c,
-            LoaderCache::Session(v) => v.shared(),
-        }
+        self.cache.shared()
     }
 
     /// All-time average region load time (virtual seconds) — a diagnostic;
@@ -177,10 +149,9 @@ impl RegionLoader {
         // the chunk-ID delta goes through the fetch path. The new region's
         // set replaces the old one afterwards, whether the load came from
         // cache, disk, or reuse — chunks are immutable, so retained copies
-        // never go stale. Taken once, before the retry loop: if every
-        // attempt fails, the delta baseline is simply lost and the next
-        // successful load starts cold.
-        let prev = self.prev.take();
+        // never go stale. Only borrowed here: a load whose every attempt
+        // fails leaves the baseline in place for the next one.
+        let prev = self.prev.as_ref();
         let policy = self.retry;
         let source = self.source.as_ref();
         let tel = self.telemetry.clone();
@@ -193,9 +164,8 @@ impl RegionLoader {
         let ((rows, merge, set), retries) = policy.run(source.tracker(), || {
             // One merge span per attempt: retried merges each count.
             let _merge_span = tel.span(Phase::ChunkMerge);
-            reconstruct_region(source, &region, &chunks, prev.as_ref(), &mut |id| match cache {
-                LoaderCache::Shared(shared) => shared.get_or_load(source, id),
-                LoaderCache::Session(view) => view.get_or_load(source, id),
+            reconstruct_region(source, &region, &chunks, prev, &mut |id| {
+                cache.get_or_load(source, id)
             })
         })?;
         self.prev = Some(set);
@@ -213,16 +183,11 @@ impl RegionLoader {
         Ok((rows, stats))
     }
 
-    /// Drops all cached chunks and the retained delta set (e.g. between
-    /// experiment runs). On a shared cache this also evicts chunks the
-    /// prefetcher warmed. A session loader only clears its *own* ghost
-    /// ledger — the engine's shared cache belongs to every session and is
-    /// never cleared from here.
+    /// Forgets the session's ghost ledger and the retained delta set
+    /// (e.g. between experiment runs). The engine's shared cache belongs
+    /// to every session and is never cleared from here.
     pub fn clear_cache(&mut self) {
-        match &mut self.cache {
-            LoaderCache::Shared(c) => c.clear(),
-            LoaderCache::Session(v) => v.clear_ghost(),
-        }
+        self.cache.clear_ghost();
         self.prev = None;
     }
 }
@@ -231,17 +196,20 @@ impl RegionLoader {
 mod tests {
     use super::*;
     use crate::testutil::build_store as build;
-    use uei_storage::io::{DiskTracker, IoProfile};
+    use uei_storage::io::DiskTracker;
     use uei_storage::store::ColumnStore;
 
-    fn src(store: &Arc<ColumnStore>) -> Arc<dyn ChunkSource> {
-        Arc::clone(store) as Arc<dyn ChunkSource>
-    }
-
-    /// A loader over its own shared cache of `cache_bytes`.
-    fn loader(store: &Arc<ColumnStore>, cache_bytes: usize) -> RegionLoader {
-        let cache = Arc::new(SharedChunkCache::with_default_shards(cache_bytes));
-        RegionLoader::with_shared(src(store), cache)
+    /// A session loader with a cache budget of `cache_bytes`, wired the way
+    /// `EngineCore::open_session` wires it: `store` is the physical handle
+    /// (its tracker is the ledger), the returned tracker is the session's
+    /// modeled clock.
+    fn loader(store: &Arc<ColumnStore>, cache_bytes: usize) -> (RegionLoader, DiskTracker) {
+        let clock = DiskTracker::new(store.tracker().profile());
+        let session: Arc<dyn ChunkSource> = Arc::new(store.with_tracker(clock.clone()));
+        let physical = Arc::clone(store) as Arc<dyn ChunkSource>;
+        let shared = Arc::new(SharedChunkCache::with_default_shards(cache_bytes));
+        let view = SessionChunkView::new(shared, physical, cache_bytes);
+        (RegionLoader::with_session_view(session, view), clock)
     }
 
     #[test]
@@ -249,7 +217,7 @@ mod tests {
         let (store, rows, _dir) = build("population", 2000);
         let grid = Grid::new(store.schema(), 4).unwrap();
         let mapping = ChunkMapping::build(&grid, store.manifest()).unwrap();
-        let mut loader = loader(&store, 32 << 20);
+        let (mut loader, _) = loader(&store, 32 << 20);
         let mut total = 0usize;
         for cell in grid.cell_ids() {
             let (loaded, stats) = loader.load_cell(&grid, &mapping, cell).unwrap();
@@ -272,7 +240,7 @@ mod tests {
         let (store, _, _dir) = build("tau", 1000);
         let grid = Grid::new(store.schema(), 3).unwrap();
         let mapping = ChunkMapping::build(&grid, store.manifest()).unwrap();
-        let mut loader = loader(&store, 0); // no caching
+        let (mut loader, _) = loader(&store, 0); // no caching
         assert_eq!(loader.loads(), 0);
         for cell in [0usize, 4, 8] {
             loader.load_cell(&grid, &mapping, cell).unwrap();
@@ -286,7 +254,7 @@ mod tests {
         let (store, _, _dir) = build("ewmatau", 1000);
         let grid = Grid::new(store.schema(), 3).unwrap();
         let mapping = ChunkMapping::build(&grid, store.manifest()).unwrap();
-        let mut loader = loader(&store, 256 << 20);
+        let (mut loader, _) = loader(&store, 256 << 20);
         loader.load_cell(&grid, &mapping, 4).unwrap(); // cold: pays I/O
         let cold = loader.recent_load_secs();
         assert!(cold > 0.0, "cold load has modeled cost");
@@ -306,34 +274,14 @@ mod tests {
         let (store, _, _dir) = build("cachehit", 1500);
         let grid = Grid::new(store.schema(), 3).unwrap();
         let mapping = ChunkMapping::build(&grid, store.manifest()).unwrap();
-        let mut loader = loader(&store, 256 << 20);
+        let (mut loader, clock) = loader(&store, 256 << 20);
         let (first, _) = loader.load_cell(&grid, &mapping, 4).unwrap();
-        let before = store.tracker().snapshot();
+        let before = (clock.snapshot(), store.tracker().snapshot());
         let (second, stats) = loader.load_cell(&grid, &mapping, 4).unwrap();
         assert_eq!(first, second);
-        assert_eq!(store.tracker().delta(&before).stats.bytes_read, 0);
+        assert_eq!(clock.delta(&before.0).stats.bytes_read, 0, "modeled");
+        assert_eq!(store.tracker().delta(&before.1).stats.bytes_read, 0, "physical");
         assert_eq!(stats.virtual_time, Duration::ZERO);
-    }
-
-    #[test]
-    fn session_view_loader_matches_shared() {
-        let (store, _, _dir) = build("sharedmatch", 1500);
-        let grid = Grid::new(store.schema(), 3).unwrap();
-        let mapping = ChunkMapping::build(&grid, store.manifest()).unwrap();
-        let mut a = loader(&store, 64 << 20);
-        let session = Arc::new(store.with_tracker(DiskTracker::new(IoProfile::nvme())));
-        let view = SessionChunkView::new(Arc::clone(a.shared_cache()), src(&store), 64 << 20);
-        let mut b = RegionLoader::with_session_view(src(&session), view);
-        for cell in [0usize, 4, 5, 8] {
-            let (ra, sa) = a.load_cell(&grid, &mapping, cell).unwrap();
-            let (rb, sb) = b.load_cell(&grid, &mapping, cell).unwrap();
-            assert_eq!(ra, rb, "cell {cell}");
-            assert_eq!(sa.merge, sb.merge, "cell {cell}");
-            assert_eq!(sa.virtual_time, sb.virtual_time, "cell {cell}: same modeled cost");
-        }
-        assert!(b.cache_stats().misses > 0);
-        assert_eq!(a.cache_stats().misses, b.cache_stats().misses, "view bills like an owner");
-        assert!(Arc::ptr_eq(a.shared_cache(), b.shared_cache()));
     }
 
     #[test]
@@ -343,22 +291,49 @@ mod tests {
         let mapping = ChunkMapping::build(&grid, store.manifest()).unwrap();
         // Zero cache budget: everything bypasses; only the delta set can
         // make the reload free.
-        let mut loader = loader(&store, 0);
+        let (mut loader, clock) = loader(&store, 0);
         let (first, _) = loader.load_cell(&grid, &mapping, 4).unwrap();
-        let before = store.tracker().snapshot();
+        let before = clock.snapshot();
         let (second, stats) = loader.load_cell(&grid, &mapping, 4).unwrap();
         assert_eq!(first, second);
-        assert_eq!(store.tracker().delta(&before).stats.bytes_read, 0);
+        assert_eq!(clock.delta(&before).stats.bytes_read, 0);
         assert_eq!(stats.merge.chunks_loaded, 0);
         assert!(stats.merge.chunks_reused > 0);
         assert_eq!(stats.virtual_time, Duration::ZERO);
         // Clearing drops the retained set: the next reload pays.
         loader.clear_cache();
-        let before = store.tracker().snapshot();
+        let before = clock.snapshot();
         let (third, stats) = loader.load_cell(&grid, &mapping, 4).unwrap();
         assert_eq!(first, third);
-        assert!(store.tracker().delta(&before).stats.bytes_read > 0);
+        assert!(clock.delta(&before).stats.bytes_read > 0);
         assert_eq!(stats.merge.chunks_reused, 0);
+    }
+
+    #[test]
+    fn failed_load_keeps_the_delta_baseline() {
+        use uei_storage::fault::{FaultConfig, FaultInjector};
+        let (store, _, _dir) = build("keepprev", 1500);
+        let grid = Grid::new(store.schema(), 3).unwrap();
+        let mapping = ChunkMapping::build(&grid, store.manifest()).unwrap();
+        // Zero cache budget: only the retained set can make a reload free.
+        let (mut loader, clock) = loader(&store, 0);
+        loader.set_retry_policy(RetryPolicy::none());
+        let (first, _) = loader.load_cell(&grid, &mapping, 4).unwrap();
+        let injector =
+            FaultInjector::new(FaultConfig { seed: 5, transient_prob: 1.0, ..FaultConfig::off() })
+                .unwrap();
+        store.tracker().set_fault_injector(Some(injector));
+        // Cell 0 shares no slice with cell 4, so every chunk must be read.
+        let err = loader.load_cell(&grid, &mapping, 0).unwrap_err();
+        assert!(err.is_storage_fault(), "{err}");
+        store.tracker().set_fault_injector(None);
+        // The previous region's chunks are immutable and still valid: the
+        // failed load must not have thrown them away.
+        let before = clock.snapshot();
+        let (again, stats) = loader.load_cell(&grid, &mapping, 4).unwrap();
+        assert_eq!(first, again);
+        assert!(stats.merge.chunks_reused > 0, "baseline survived the failed load");
+        assert_eq!(clock.delta(&before).stats.bytes_read, 0);
     }
 
     #[test]
@@ -366,7 +341,7 @@ mod tests {
         let (store, rows, _dir) = build("deltaadj", 3000);
         let grid = Grid::new(store.schema(), 3).unwrap();
         let mapping = ChunkMapping::build(&grid, store.manifest()).unwrap();
-        let mut loader = loader(&store, 0); // delta only
+        let (mut loader, _) = loader(&store, 0); // delta only
         loader.load_cell(&grid, &mapping, 0).unwrap();
         // Adjacent cell in x: shares the y-dimension chunk range entirely.
         let (got, stats) = loader.load_cell(&grid, &mapping, 1).unwrap();
@@ -388,7 +363,7 @@ mod tests {
         let (store, _, _dir) = build("fraction", 4000);
         let grid = Grid::new(store.schema(), 5).unwrap();
         let mapping = ChunkMapping::build(&grid, store.manifest()).unwrap();
-        let mut loader = loader(&store, 0);
+        let (mut loader, _) = loader(&store, 0);
         let (_, stats) = loader.load_cell(&grid, &mapping, 12).unwrap();
         let all_chunk_bytes = store.manifest().total_chunk_bytes();
         assert!(
@@ -400,8 +375,9 @@ mod tests {
     }
 
     /// One fault kind at a time against a cache-less loader walking every
-    /// cell: latency spikes reach the virtual clock but never fail a load,
-    /// and corruption surfaces as failed loads that are never retried.
+    /// cell: latency spikes reach the clock of the tracker that performed
+    /// the read (the physical ledger) but never fail a load, and corruption
+    /// surfaces as failed loads that are never retried.
     /// (Transients absorbed by retries: `load::tests`.)
     #[test]
     fn spikes_never_fail_a_load_and_corruption_is_never_retried() {
@@ -412,7 +388,7 @@ mod tests {
         let sweep = |faults: FaultConfig| {
             let injector = FaultInjector::new(faults).unwrap();
             store.tracker().set_fault_injector(Some(Arc::clone(&injector)));
-            let mut loader = loader(&store, 0);
+            let (mut loader, _) = loader(&store, 0);
             let before = store.tracker().snapshot();
             let failed = grid
                 .cell_ids()
@@ -439,7 +415,7 @@ mod tests {
         let (failed, retries, slow_time, stats) = sweep(slow);
         assert!(stats.latency_spikes > 0, "spikes fired: {stats:?}");
         assert_eq!((failed, retries), (0, 0), "a slow read is still a good read");
-        assert!(slow_time > clean_time, "spike penalties reach the virtual clock");
+        assert!(slow_time > clean_time, "spike penalties reach the ledger's virtual clock");
 
         let corrupt = FaultConfig { seed: 211, corrupt_prob: 0.02, ..FaultConfig::off() };
         let (failed, retries, _, stats) = sweep(corrupt);

@@ -4,7 +4,9 @@
 //! exploration loop needs (Algorithm 2):
 //!
 //! - [`UeiIndex::build`] — lines 7–11: grid, symbolic index points, and the
-//!   mapping `m` over an already-initialized column store;
+//!   mapping `m` over an already-initialized column store (one session of
+//!   a private [`EngineCore`]; many analysts share one core through
+//!   [`EngineCore::open_session`]);
 //! - [`UeiIndex::sample_unlabeled`] — line 12: the uniform sample that
 //!   seeds the unlabeled cache `U`;
 //! - [`UeiIndex::update_uncertainty`] — line 17;
@@ -24,13 +26,12 @@ use uei_learn::strategy::UncertaintyMeasure;
 use uei_learn::Classifier;
 use uei_obs::{FlightEventKind, Phase, SessionTelemetry};
 use uei_storage::cache::SharedChunkCache;
-use uei_storage::io::{DiskTracker, IoStats};
-use uei_storage::merge::MergeStats;
-use uei_storage::source::ChunkSource;
+use uei_storage::io::IoStats;
 use uei_storage::store::ColumnStore;
 use uei_types::{DataPoint, Result, Rng};
 
 use crate::config::UeiConfig;
+use crate::engine::EngineCore;
 use crate::grid::{CellId, Grid};
 use crate::load::RegionFetcher;
 use crate::loader::{LoadStats, RegionLoader};
@@ -65,57 +66,29 @@ pub struct UeiIndex {
 impl UeiIndex {
     /// Builds the index over an initialized column store (the in-memory
     /// half of the initialization phase; the on-disk half is
-    /// [`ColumnStore::create`]).
+    /// [`ColumnStore::create`]): the single-analyst setting of the paper,
+    /// i.e. the one session of a private [`EngineCore`].
     pub fn build(store: Arc<ColumnStore>, config: UeiConfig) -> Result<UeiIndex> {
         Self::build_with_measure(store, config, UncertaintyMeasure::LeastConfidence)
     }
 
     /// [`UeiIndex::build`] with an explicit uncertainty measure.
+    ///
+    /// `store`'s tracker becomes the engine's physical I/O ledger (chunk
+    /// reads, and therefore read-fault injectors, live there); the returned
+    /// index's own [`UeiIndex::store`] handle carries the session's modeled
+    /// clock.
     pub fn build_with_measure(
         store: Arc<ColumnStore>,
         config: UeiConfig,
         measure: UncertaintyMeasure,
     ) -> Result<UeiIndex> {
-        config.validate(store.schema().dims())?;
-        let grid = Arc::new(Grid::new(store.schema(), config.cells_per_dim)?);
-        let mapping = Arc::new(ChunkMapping::build(&grid, store.manifest())?);
-        let points = IndexPoints::from_grid(&grid)?;
-        let source: Arc<dyn ChunkSource> = Arc::clone(&store) as Arc<dyn ChunkSource>;
-        let cache = Arc::new(SharedChunkCache::with_default_shards(config.chunk_cache_bytes));
-        let mut loader = RegionLoader::with_shared(source, Arc::clone(&cache));
-        loader.set_retry_policy(config.retry);
-        let prefetcher = if config.prefetch {
-            // Same store files and catalog, own tracker: background I/O
-            // never perturbs the foreground virtual clock.
-            let bg = store.with_tracker(DiskTracker::new(store.tracker().profile()));
-            Some(Prefetcher::spawn(Arc::new(bg), Arc::clone(&grid), Arc::clone(&mapping), cache)?)
-        } else {
-            None
-        };
-        let telemetry = SessionTelemetry::standalone(
-            config.telemetry,
-            Some(store.tracker().as_virtual_clock()),
-        );
-        let mut fetcher = RegionFetcher::new(loader, prefetcher);
-        fetcher.set_telemetry(telemetry.clone());
-        Ok(UeiIndex {
-            store,
-            grid,
-            mapping,
-            points,
-            fetcher,
-            config,
-            measure,
-            rescore_stats: RescoreStats::default(),
-            telemetry,
-            rescore_passes: 0,
-        })
+        EngineCore::with_measure(store, config, measure)?.open_session()
     }
 
-    /// Assembles an index from pre-built parts. Used by
-    /// [`crate::engine::EngineCore::open_session`], which shares the grid,
-    /// mapping, and chunk cache across sessions; the standalone
-    /// [`UeiIndex::build`] path constructs everything itself.
+    /// Assembles a session's index from the parts
+    /// [`EngineCore::open_session`] shares (store, grid, mapping) and the
+    /// ones it creates per session.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn from_parts(
         store: Arc<ColumnStore>,
@@ -234,8 +207,8 @@ impl UeiIndex {
     }
 
     /// This session's telemetry handle: phase spans, flight events, and
-    /// (when engine-opened) the shared metrics registry. Disabled-mode
-    /// handles are inert and free to clone.
+    /// the engine's shared metrics registry. Disabled-mode handles are
+    /// inert and free to clone.
     pub fn telemetry(&self) -> &SessionTelemetry {
         &self.telemetry
     }
@@ -260,28 +233,22 @@ impl UeiIndex {
         self.fetcher.degrade_counters()
     }
 
-    /// All-time average region load time in virtual seconds (diagnostic).
-    pub fn average_load_secs(&self) -> f64 {
-        self.fetcher.loader().average_load_secs()
-    }
-
     /// Exponentially weighted recent region load time τ in virtual
     /// seconds — what the prefetch horizon and swap deferral consult.
     pub fn recent_load_secs(&self) -> f64 {
         self.fetcher.loader().recent_load_secs()
     }
 
-    /// Chunk-cache statistics. A standalone index reports its shared
-    /// cache (hits include the prefetcher's); engine-opened sessions report
-    /// their own deterministic ghost-ledger stats, and the engine-wide
-    /// aggregate lives on [`crate::engine::EngineCore::cache_stats`].
+    /// This session's chunk-cache statistics: its deterministic
+    /// ghost-ledger counters (the prefetcher's lookups are not in them).
+    /// The engine-wide aggregate lives on [`EngineCore::cache_stats`].
     pub fn cache_stats(&self) -> uei_storage::cache::CacheStats {
         self.fetcher.loader().cache_stats()
     }
 
-    /// The cache shared between loader and prefetcher. For engine-opened
-    /// sessions this is the engine-wide shared cache reached through the
-    /// session's ghost view.
+    /// The engine-wide cache shared between this session's loader and
+    /// prefetcher and every other session, reached through the session's
+    /// ghost view.
     pub fn shared_cache(&self) -> &Arc<SharedChunkCache> {
         self.fetcher.loader().shared_cache()
     }
@@ -295,16 +262,7 @@ impl UeiIndex {
     pub fn load_cell(&mut self, cell: CellId) -> Result<(Vec<DataPoint>, LoadStats)> {
         self.fetcher.loader_mut().load_cell(&self.grid, &self.mapping, cell)
     }
-
-    /// Merge statistics of the last N loads are not retained; this exposes
-    /// the per-cell chunk count for complexity reporting instead.
-    pub fn chunks_for_cell(&self, cell: CellId) -> Result<usize> {
-        self.mapping.chunk_count_for_cell(&self.grid, cell)
-    }
 }
-
-/// Re-exported merge counters for downstream reporting.
-pub type RegionMergeStats = MergeStats;
 
 #[cfg(test)]
 mod tests {
@@ -318,7 +276,6 @@ mod tests {
         let index = UeiIndex::build(Arc::clone(&store), small_config()).unwrap();
         assert_eq!(index.grid().num_cells(), 16);
         assert_eq!(index.points().len(), 16);
-        assert!(index.chunks_for_cell(0).unwrap() > 0);
         assert!(index.background_io().is_none(), "prefetch disabled by default");
     }
 
@@ -349,7 +306,7 @@ mod tests {
         // plane, so every iteration's cached per-shard merge is checked
         // against the uncached global ranking on a real session.
         let (store, _, _dir) = build_store("autoshard", 2000);
-        let engine = crate::engine::EngineCore::new(
+        let engine = EngineCore::new(
             Arc::clone(&store),
             UeiConfig { cells_per_dim: 91, ..UeiConfig::default() },
         )
@@ -386,9 +343,9 @@ mod tests {
         let (store, _, _dir) = build_store("fraction", 4000);
         let mut index = UeiIndex::build(Arc::clone(&store), small_config()).unwrap();
         index.update_uncertainty(&boundary_model(50.0));
-        let before = store.tracker().snapshot();
+        let before = index.store().tracker().snapshot();
         index.select_and_load().unwrap();
-        let region_bytes = store.tracker().delta(&before).stats.bytes_read;
+        let region_bytes = index.store().tracker().delta(&before).stats.bytes_read;
         let full_bytes = store.manifest().total_chunk_bytes() + store.rows_file_bytes();
         assert!(
             region_bytes * 3 < full_bytes,

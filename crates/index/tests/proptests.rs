@@ -6,12 +6,11 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 use uei_index::grid::Grid;
-use uei_index::loader::RegionLoader;
 use uei_index::mapping::ChunkMapping;
 use uei_index::points::IndexPoints;
+use uei_index::{UeiConfig, UeiIndex};
 use uei_learn::strategy::UncertaintyMeasure;
 use uei_learn::{EstimatorKind, MinMaxScaler, ScaledClassifier};
-use uei_storage::cache::SharedChunkCache;
 use uei_storage::io::{DiskTracker, IoProfile};
 use uei_storage::store::{ColumnStore, StoreConfig};
 use uei_types::{AttributeDef, DataPoint, Label, Rng, Schema};
@@ -82,19 +81,16 @@ proptest! {
         let store = Arc::new(ColumnStore::create(
             dir.path(), schema, &rows,
             StoreConfig { chunk_target_bytes: chunk_bytes }, tracker).unwrap());
-        let grid = Grid::new(store.schema(), cells).unwrap();
-        let mapping = ChunkMapping::build(&grid, store.manifest()).unwrap();
-        let mut loader = RegionLoader::with_shared(
-            Arc::clone(&store) as Arc<dyn uei_storage::ChunkSource>,
-            Arc::new(SharedChunkCache::with_default_shards(1 << 20)),
-        );
+        let config =
+            UeiConfig { cells_per_dim: cells, chunk_cache_bytes: 1 << 20, ..UeiConfig::default() };
+        let mut index = UeiIndex::build(store, config).unwrap();
 
         let mut total = 0usize;
         let mut seen = std::collections::HashSet::new();
-        for cell in grid.cell_ids() {
-            let (loaded, _) = loader.load_cell(&grid, &mapping, cell).unwrap();
+        for cell in index.grid().cell_ids() {
+            let (loaded, _) = index.load_cell(cell).unwrap();
             // Every loaded row genuinely belongs to the cell.
-            let region = grid.cell_region(cell).unwrap();
+            let region = index.grid().cell_region(cell).unwrap();
             for p in &loaded {
                 prop_assert!(region.contains(&p.values).unwrap());
                 prop_assert!(seen.insert(p.id), "row {} in two cells", p.id);

@@ -17,10 +17,8 @@
 //! - [`svm`] — a linear SVM trained with Pegasos SGD, calibrated into a
 //!   probability via [`platt`] scaling;
 //! - [`strategy`] — query strategies: uncertainty sampling (least
-//!   confidence / margin / entropy), random sampling,
-//!   query-by-committee ([`committee`]), and the expectation-based
-//!   strategies of §2.1's survey ([`expected`]: expected error reduction,
-//!   expected model change);
+//!   confidence / margin / entropy), random sampling, and
+//!   query-by-committee ([`committee`]);
 //! - [`metrics`] — F-measure and friends (the paper's accuracy metric);
 //! - [`scale`] — min–max feature scaling so that distance-based estimators
 //!   are not dominated by wide-domain attributes;
@@ -39,7 +37,6 @@ pub mod committee;
 pub mod dataset;
 pub mod delta;
 pub mod dwknn;
-pub mod expected;
 pub mod kdtree;
 pub mod knn;
 pub mod metrics;
@@ -61,7 +58,6 @@ pub use delta::{
     ScoredBatch,
 };
 pub use dwknn::Dwknn;
-pub use expected::{ExpectationConfig, ExpectedErrorReduction, ExpectedModelChange};
 pub use kdtree::{KdTree, NearestScratch};
 pub use knn::Knn;
 pub use metrics::{ConfusionMatrix, Metrics};

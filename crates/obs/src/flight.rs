@@ -47,7 +47,7 @@ pub struct FlightEvent {
     /// Monotonic sequence number within the recorder (assigned on record).
     #[serde(default)]
     pub seq: u64,
-    /// Ordinal of the session that recorded the event (0 = standalone).
+    /// Ordinal of the session that recorded the event (engine-assigned, from 1).
     #[serde(default)]
     pub session: u64,
     /// Labels acquired when the event fired (the loop's iteration proxy).

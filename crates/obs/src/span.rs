@@ -225,22 +225,12 @@ impl SessionTelemetry {
         }
     }
 
-    /// A handle with its own private registry (sessions built outside an
-    /// `EngineCore`).
-    pub fn standalone(
-        config: TelemetryConfig,
-        clock: Option<Arc<dyn VirtualClock>>,
-    ) -> SessionTelemetry {
-        SessionTelemetry::new(config, 0, Arc::new(MetricsRegistry::new()), clock)
-    }
-
     /// Whether spans and events are being recorded.
     pub fn enabled(&self) -> bool {
         self.inner.is_some()
     }
 
-    /// The session's ordinal within its engine (0 when disabled or
-    /// standalone).
+    /// The session's ordinal within its engine (0 when disabled).
     pub fn ordinal(&self) -> u64 {
         self.inner.as_ref().map_or(0, |i| i.ordinal)
     }
@@ -451,7 +441,7 @@ mod tests {
     #[test]
     fn spans_accumulate_wall_and_virtual_time() {
         let clock = Arc::new(FakeClock(AtomicU64::new(0)));
-        let tel = SessionTelemetry::standalone(TelemetryConfig::on(), Some(clock));
+        let tel = EngineTelemetry::new(TelemetryConfig::on()).open_session(Some(clock));
         {
             let _outer = tel.span(Phase::RegionLoad);
             let _inner = tel.span(Phase::ChunkMerge);
@@ -472,7 +462,7 @@ mod tests {
 
     #[test]
     fn breakdown_windows_between_snapshots() {
-        let tel = SessionTelemetry::standalone(TelemetryConfig::on(), None);
+        let tel = EngineTelemetry::new(TelemetryConfig::on()).open_session(None);
         {
             let _s = tel.span(Phase::Rescore);
         }

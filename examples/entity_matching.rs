@@ -65,14 +65,13 @@ fn main() -> uei::types::Result<()> {
     // Store the similarity vectors with UEI's inverted columnar layout.
     let dir = std::env::temp_dir().join("uei-example-er");
     let _ = std::fs::remove_dir_all(&dir);
-    let tracker = DiskTracker::new(IoProfile::nvme());
     let schema = pair_schema();
     let store = Arc::new(ColumnStore::create(
         &dir,
         schema.clone(),
         &pairs,
         StoreConfig { chunk_target_bytes: 16 * 1024 },
-        tracker.clone(),
+        DiskTracker::new(IoProfile::nvme()),
     )?);
 
     let mut rng = Rng::new(5);

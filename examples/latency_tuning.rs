@@ -20,13 +20,12 @@ fn run(prefetch: bool, defer: bool, sigma: f64) -> uei::types::Result<(f64, usiz
     let dir = std::env::temp_dir().join(format!("uei-example-latency-{prefetch}-{defer}-{sigma}"));
     let _ = std::fs::remove_dir_all(&dir);
     // A slow device makes the trade-off visible: a SATA SSD instead of NVMe.
-    let tracker = DiskTracker::new(IoProfile::sata_ssd());
     let store = Arc::new(ColumnStore::create(
         &dir,
         Schema::sdss(),
         &rows,
         StoreConfig { chunk_target_bytes: 16 * 1024 },
-        tracker.clone(),
+        DiskTracker::new(IoProfile::sata_ssd()),
     )?);
 
     let mut rng = Rng::new(17);
@@ -52,7 +51,8 @@ fn run(prefetch: bool, defer: bool, sigma: f64) -> uei::types::Result<(f64, usiz
     let target = generate_target_region(&rows, &Schema::sdss(), RegionSize::Medium, &mut rng)?;
     let oracle = Oracle::new(target);
     let config = SessionConfig { max_labels: 50, eval_sample: 0, ..Default::default() };
-    let result = ExplorationSession::new(&mut backend, &oracle, config, tracker).run()?;
+    let clock = backend.index().store().tracker().clone();
+    let result = ExplorationSession::new(&mut backend, &oracle, config, clock).run()?;
 
     let mean_ms = result.total_virtual_secs * 1e3 / result.traces.len().max(1) as f64;
     let prefetched = result.traces.iter().filter(|t| t.prefetched).count();

@@ -23,13 +23,12 @@ fn main() -> uei::types::Result<()> {
     // ------------------------------------------------------------------
     let dir = std::env::temp_dir().join("uei-example-quickstart");
     let _ = std::fs::remove_dir_all(&dir);
-    let tracker = DiskTracker::new(IoProfile::nvme()); // the paper's disk
     let store = Arc::new(ColumnStore::create(
         &dir,
         Schema::sdss(),
         &rows,
         StoreConfig::default(),
-        tracker.clone(),
+        DiskTracker::new(IoProfile::nvme()), // the paper's disk
     )?);
     println!(
         "store initialized: {} chunks, {} bytes of inverted columns",
@@ -61,7 +60,9 @@ fn main() -> uei::types::Result<()> {
     // 4. Interactive exploration: 40 labels of yes/no feedback.
     // ------------------------------------------------------------------
     let config = SessionConfig { max_labels: 40, eval_sample: 1_500, ..Default::default() };
-    let result = ExplorationSession::new(&mut backend, &oracle, config, tracker).run()?;
+    // The session runs on the backend's own modeled disk clock.
+    let clock = backend.index().store().tracker().clone();
+    let result = ExplorationSession::new(&mut backend, &oracle, config, clock).run()?;
 
     println!("\n labels |  est. F-measure | response (modeled)");
     for t in result.traces.iter().step_by(5) {

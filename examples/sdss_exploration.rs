@@ -35,13 +35,12 @@ fn main() -> uei::types::Result<()> {
     let config = SessionConfig { max_labels: LABELS, eval_sample: 2_000, ..Default::default() };
 
     // --- UEI scheme ----------------------------------------------------
-    let uei_tracker = DiskTracker::new(IoProfile::nvme());
     let store = Arc::new(ColumnStore::create(
         root.join("store"),
         Schema::sdss(),
         &rows,
         StoreConfig { chunk_target_bytes: 16 * 1024 },
-        uei_tracker.clone(),
+        DiskTracker::new(IoProfile::nvme()),
     )?);
     let cache_bytes = (store.manifest().total_chunk_bytes() as f64 * MEMORY_FRACTION) as usize;
     let mut uei_rng = Rng::new(1);
@@ -56,8 +55,9 @@ fn main() -> uei::types::Result<()> {
         1_000,
         &mut uei_rng,
     )?;
+    let uei_clock = uei_backend.index().store().tracker().clone();
     let uei_result =
-        ExplorationSession::new(&mut uei_backend, &oracle, config.clone(), uei_tracker).run()?;
+        ExplorationSession::new(&mut uei_backend, &oracle, config.clone(), uei_clock).run()?;
 
     // --- MySQL-like scheme ----------------------------------------------
     let dbms_tracker = DiskTracker::new(IoProfile::nvme());

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# CI gate: formatting, lint, docs, tests, release build, and the
-# benchmark package's unit tests and smoke run (every workload, all checks).
+# CI gate: formatting, lint, docs, tests, release build, the quickstart
+# example, and the benchmark package's unit tests and smoke run (every
+# workload, all checks).
 #
 #   ./scripts/ci.sh          # full gate
 #   ./scripts/ci.sh --fast   # skip the release builds (debug tests + lint only)
@@ -30,6 +31,11 @@ cargo test -q --workspace
 if [[ "$fast" -eq 0 ]]; then
     echo "==> cargo build --release"
     cargo build --release
+
+    # The examples are the only non-test callers of the single-analyst
+    # constructors (UeiBackend::new / UeiIndex::build); run one end to end.
+    echo "==> cargo run --release --quiet --example quickstart"
+    cargo run --release --quiet --example quickstart
 fi
 
 # The repo's one benchmark (benchmark/, a package of its own): its unit

@@ -31,9 +31,9 @@
 //! let rows = generate_sdss_like(&SynthConfig { rows: 2_000, ..Default::default() });
 //! let dir = std::env::temp_dir().join("uei-doc-quickstart");
 //! let _ = std::fs::remove_dir_all(&dir);
-//! let tracker = DiskTracker::new(IoProfile::nvme());
 //! let store = ColumnStore::create(
-//!     &dir, Schema::sdss(), &rows, StoreConfig::default(), tracker.clone())?;
+//!     &dir, Schema::sdss(), &rows, StoreConfig::default(),
+//!     DiskTracker::new(IoProfile::nvme()))?;
 //!
 //! // 2. Build the index and an exploration backend.
 //! let mut rng = Rng::new(42);
@@ -50,9 +50,10 @@
 //!     &rows, &Schema::sdss(), 0.02, &mut rng)?;
 //! let oracle = Oracle::new(target);
 //!
-//! // 4. Run a short exploration session.
+//! // 4. Run a short exploration session on the backend's modeled disk clock.
 //! let config = SessionConfig { max_labels: 10, eval_sample: 200, ..Default::default() };
-//! let result = ExplorationSession::new(&mut backend, &oracle, config, tracker).run()?;
+//! let clock = backend.index().store().tracker().clone();
+//! let result = ExplorationSession::new(&mut backend, &oracle, config, clock).run()?;
 //! assert!(result.labels_used >= 2);
 //! # std::fs::remove_dir_all(&dir).ok();
 //! # Ok(())

@@ -35,14 +35,13 @@ fn run_uei(
     oracle: &Oracle,
     labels: usize,
 ) -> uei::explore::SessionResult {
-    let tracker = DiskTracker::new(IoProfile::nvme());
     let store = Arc::new(
         ColumnStore::create(
             dir.join("store"),
             Schema::sdss(),
             rows,
             StoreConfig { chunk_target_bytes: 16 * 1024 },
-            tracker.clone(),
+            DiskTracker::new(IoProfile::nvme()),
         )
         .unwrap(),
     );
@@ -56,7 +55,10 @@ fn run_uei(
     )
     .unwrap();
     let config = SessionConfig { max_labels: labels, eval_sample: 1000, ..Default::default() };
-    ExplorationSession::new(&mut backend, oracle, config, tracker).run().unwrap()
+    // The session runs on its own modeled clock; the store's tracker is
+    // the engine's physical I/O ledger.
+    let clock = backend.index().store().tracker().clone();
+    ExplorationSession::new(&mut backend, oracle, config, clock).run().unwrap()
 }
 
 fn run_dbms(
@@ -165,7 +167,8 @@ fn store_survives_reopen_between_sessions() {
     .unwrap();
     let oracle = make_oracle(&rows, 0.02, 13);
     let config = SessionConfig { max_labels: 15, eval_sample: 300, ..Default::default() };
-    let result = ExplorationSession::new(&mut backend, &oracle, config, tracker).run().unwrap();
+    let clock = backend.index().store().tracker().clone();
+    let result = ExplorationSession::new(&mut backend, &oracle, config, clock).run().unwrap();
     assert!(result.labels_used >= 10);
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -178,14 +181,13 @@ fn prefetch_session_matches_unprefetched_results() {
     let oracle = make_oracle(&rows, 0.02, 17);
     let run = |prefetch: bool, tag: &str| {
         let dir = temp_dir(tag);
-        let tracker = DiskTracker::new(IoProfile::instant());
         let store = Arc::new(
             ColumnStore::create(
                 dir.join("store"),
                 Schema::sdss(),
                 &rows,
                 StoreConfig { chunk_target_bytes: 16 * 1024 },
-                tracker.clone(),
+                DiskTracker::new(IoProfile::instant()),
             )
             .unwrap(),
         );
@@ -199,7 +201,8 @@ fn prefetch_session_matches_unprefetched_results() {
         )
         .unwrap();
         let config = SessionConfig { max_labels: 20, eval_sample: 400, ..Default::default() };
-        let result = ExplorationSession::new(&mut backend, &oracle, config, tracker).run().unwrap();
+        let clock = backend.index().store().tracker().clone();
+        let result = ExplorationSession::new(&mut backend, &oracle, config, clock).run().unwrap();
         std::fs::remove_dir_all(&dir).ok();
         result
     };
