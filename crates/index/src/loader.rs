@@ -2,8 +2,9 @@
 //!
 //! Implements Algorithm 2 line 19: "load data region with m(p*_i)". The
 //! loader resolves the cell's chunk set through the mapping, merges the
-//! chunks into tuples (hash-table reconstruction, chunk-at-a-time within
-//! the cache budget), and keeps a running average of the load time τ that
+//! chunks into tuples (`uei_storage::merge`: the paper's hash-table
+//! reconstruction as a row-id bitmap intersection, reusing the previous
+//! region's decoded chunks), and keeps a running average of the load time τ that
 //! the prefetcher's horizon θ = ⌈τ/σ⌉ is derived from.
 
 use std::sync::Arc;

@@ -422,13 +422,18 @@ impl SessionChunkView {
     }
 }
 
-/// Approximate decoded in-memory footprint of a chunk — the unit of every
-/// cache's byte accounting (budgets, [`SharedChunkCache::used_bytes`],
-/// and the ghost ledgers of
-/// [`SessionChunkView`]), exposed so tests can recompute a cache's exact
-/// expected occupancy from its resident chunks.
+/// The byte charge of a decoded chunk — the unit of every cache's
+/// accounting (budgets, [`SharedChunkCache::used_bytes`], and the ghost
+/// ledgers of [`SessionChunkView`]), exposed so tests can recompute a
+/// cache's exact expected occupancy from its resident chunks.
+///
+/// This is the ledger's unit, not a measurement: it decides admission, hits
+/// and evictions, and through them every modeled metric, so it stays
+/// `32·entries + 8·ids` although the struct-of-arrays chunk really holds
+/// about `12·entries + 8·ids` (key + `u32` offset per entry). It now
+/// over-estimates; recalibrating it moves `bytes_read_per_iter` and
+/// belongs with the one-memory-budget work (ROADMAP item 5).
 pub fn approx_chunk_bytes(chunk: &Chunk) -> usize {
-    // Per posting list: key (8) + Vec header (~24); per id: 8.
     chunk.num_entries() * 32 + chunk.num_ids() * 8
 }
 

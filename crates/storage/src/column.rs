@@ -5,29 +5,43 @@
 //! into posting lists (`<key, {values}>` with object ids as the values,
 //! Figure 2).
 
+use std::ops::Range;
+
+use uei_types::codec::varint_len;
 use uei_types::{DataPoint, Result, UeiError};
 
-use crate::postings::PostingList;
+use crate::chunk::{Chunk, ChunkId};
 
-/// One fully decomposed, sorted, grouped dimension.
+/// One fully decomposed, sorted, grouped dimension, held flat: entry `e`
+/// is the key `keys[e]` with the ascending row ids
+/// `ids[offsets[e]..offsets[e + 1]]`. Only [`vertical_decompose`] builds
+/// one, so keys are strictly ascending and never NaN.
 #[derive(Debug, Clone, PartialEq)]
 pub struct InvertedColumn {
     /// Dimension index this column came from.
     pub dim: usize,
-    /// Posting lists with strictly ascending keys.
-    pub postings: Vec<PostingList>,
+    keys: Vec<f64>,
+    offsets: Vec<usize>,
+    ids: Vec<u64>,
 }
 
 impl InvertedColumn {
-    /// Total number of row ids across all lists (equals the row count of
-    /// the source data).
-    pub fn num_ids(&self) -> usize {
-        self.postings.iter().map(|p| p.len()).sum()
-    }
-
     /// Number of distinct keys.
     pub fn num_keys(&self) -> usize {
-        self.postings.len()
+        self.keys.len()
+    }
+
+    /// The `(key, ids)` posting lists of a run of entries, ascending by key.
+    pub fn postings(&self, entries: Range<usize>) -> impl Iterator<Item = (f64, &[u64])> {
+        entries.map(move |e| (self.keys[e], &self.ids[self.offsets[e]..self.offsets[e + 1]]))
+    }
+
+    /// The column cut into chunks of at least `target_bytes` of payload
+    /// each (see [`split_into_chunks`]), in sequence order.
+    pub fn chunks(&self, target_bytes: usize) -> impl Iterator<Item = Result<Chunk>> + '_ {
+        split_into_chunks(self, target_bytes).into_iter().enumerate().map(|(seq, entries)| {
+            Chunk::from_postings(ChunkId::new(self.dim as u32, seq as u32), self.postings(entries))
+        })
     }
 }
 
@@ -38,45 +52,41 @@ impl InvertedColumn {
 /// column). Row ids must be unique; duplicates are rejected because posting
 /// lists require strictly ascending ids.
 pub fn vertical_decompose(rows: &[DataPoint], dims: usize) -> Result<Vec<InvertedColumn>> {
-    // Gather per-dimension (value, id) pairs.
-    let mut pairs: Vec<Vec<(f64, u64)>> =
-        (0..dims).map(|_| Vec::with_capacity(rows.len())).collect();
-    for row in rows {
-        if row.values.len() != dims {
-            return Err(UeiError::DimensionMismatch { expected: dims, actual: row.values.len() });
-        }
-        for (d, &v) in row.values.iter().enumerate() {
-            if v.is_nan() {
-                return Err(UeiError::corrupt(format!("row {} has NaN in dimension {d}", row.id)));
-            }
-            pairs[d].push((v, row.id.as_u64()));
-        }
+    if let Some(row) = rows.iter().find(|row| row.values.len() != dims) {
+        return Err(UeiError::DimensionMismatch { expected: dims, actual: row.values.len() });
     }
+    (0..dims).map(|dim| decompose_dimension(rows, dim)).collect()
+}
 
-    let mut columns = Vec::with_capacity(dims);
-    for (dim, mut col) in pairs.into_iter().enumerate() {
-        // Sort by (value, id): ids within each posting list come out
-        // ascending for free, which the delta encoder requires.
-        col.sort_unstable_by(|a, b| {
-            a.0.partial_cmp(&b.0).expect("NaN rejected above").then(a.1.cmp(&b.1))
-        });
-        let mut postings: Vec<PostingList> = Vec::new();
-        for (value, id) in col {
-            match postings.last_mut() {
-                Some(last) if last.key == value => {
-                    if last.ids.last() == Some(&id) {
-                        return Err(UeiError::corrupt(format!(
-                            "duplicate row id {id} in dimension {dim}"
-                        )));
-                    }
-                    last.ids.push(id);
-                }
-                _ => postings.push(PostingList { key: value, ids: vec![id] }),
-            }
-        }
-        columns.push(InvertedColumn { dim, postings });
+/// One dimension of [`vertical_decompose`]; only this dimension's
+/// `(value, id)` pairs are in memory while it runs.
+fn decompose_dimension(rows: &[DataPoint], dim: usize) -> Result<InvertedColumn> {
+    let mut col: Vec<(f64, u64)> =
+        rows.iter().map(|row| (row.values[dim], row.id.as_u64())).collect();
+    if let Some(&(_, id)) = col.iter().find(|pair| pair.0.is_nan()) {
+        return Err(UeiError::corrupt(format!("row {id} has NaN in dimension {dim}")));
     }
-    Ok(columns)
+    // Sort by (value, id): ids within each posting list come out ascending
+    // for free, which the delta encoder requires.
+    col.sort_unstable_by(|a, b| {
+        a.0.partial_cmp(&b.0).expect("NaN rejected above").then(a.1.cmp(&b.1))
+    });
+    if let Some(w) = col.windows(2).find(|w| w[0] == w[1]) {
+        return Err(UeiError::corrupt(format!("duplicate row id {} in dimension {dim}", w[0].1)));
+    }
+    // The sorted pairs *are* the flat column: ids in order, a new key (and
+    // offset) wherever the value changes.
+    let mut keys: Vec<f64> = Vec::new();
+    let mut offsets = Vec::new();
+    for (i, &(value, _)) in col.iter().enumerate() {
+        if keys.last() != Some(&value) {
+            keys.push(value);
+            offsets.push(i);
+        }
+    }
+    offsets.push(col.len());
+    let ids = col.into_iter().map(|(_, id)| id).collect();
+    Ok(InvertedColumn { dim, keys, offsets, ids })
 }
 
 /// Merges rows from multiple sources into one dataset with fresh dense ids.
@@ -104,33 +114,36 @@ pub fn merge_sources(sources: &[Vec<DataPoint>]) -> Result<Vec<DataPoint>> {
     Ok(merged)
 }
 
-/// Splits a column's posting lists into chunk-sized runs.
+/// Splits a column's posting lists into chunk-sized runs of entries.
 ///
 /// Each run's *encoded payload* is at least `target_bytes` (except possibly
 /// the final run), matching the paper's equal-sized chunk files ("the size
 /// of each chunk can be adjusted based on the size of the data and the
 /// available hardware resources"). A posting list is never split across
 /// chunks, preserving the invariant that chunk key ranges are disjoint.
-pub fn split_into_chunks(
-    column: InvertedColumn,
-    target_bytes: usize,
-) -> Result<Vec<Vec<PostingList>>> {
-    let mut runs: Vec<Vec<PostingList>> = Vec::new();
-    let mut current: Vec<PostingList> = Vec::new();
+pub fn split_into_chunks(column: &InvertedColumn, target_bytes: usize) -> Vec<Range<usize>> {
+    let mut runs = Vec::new();
+    let mut start = 0;
     let mut current_bytes = 0usize;
-    for posting in column.postings {
-        let len = posting.encoded_len()?;
-        current_bytes += len;
-        current.push(posting);
+    for (e, (_, ids)) in column.postings(0..column.num_keys()).enumerate() {
+        current_bytes += posting_encoded_len(ids);
         if current_bytes >= target_bytes {
-            runs.push(std::mem::take(&mut current));
+            runs.push(start..e + 1);
+            start = e + 1;
             current_bytes = 0;
         }
     }
-    if !current.is_empty() {
-        runs.push(current);
+    if start < column.num_keys() {
+        runs.push(start..column.num_keys());
     }
-    Ok(runs)
+    runs
+}
+
+/// Bytes one posting list takes in a chunk file (see the layout in
+/// [`crate::chunk`]): key, id count, first id, then the gaps.
+fn posting_encoded_len(ids: &[u64]) -> usize {
+    let gaps: usize = ids.windows(2).map(|w| varint_len(w[1] - w[0])).sum();
+    8 + varint_len(ids.len() as u64) + ids.first().map_or(0, |&id| varint_len(id)) + gaps
 }
 
 #[cfg(test)]
@@ -147,26 +160,35 @@ mod tests {
         ]
     }
 
+    /// A column of `n` single-id postings: key `i`, id `i`.
+    fn unit_column(n: usize) -> InvertedColumn {
+        let rows: Vec<DataPoint> =
+            (0..n).map(|i| DataPoint::new(i as u64, vec![i as f64])).collect();
+        vertical_decompose(&rows, 1).unwrap().remove(0)
+    }
+
+    fn keys_of(column: &InvertedColumn, entries: Range<usize>) -> Vec<f64> {
+        column.postings(entries).map(|(k, _)| k).collect()
+    }
+
     #[test]
     fn decompose_sorts_and_groups() {
         let cols = vertical_decompose(&rows(), 2).unwrap();
         assert_eq!(cols.len(), 2);
 
-        let keys: Vec<f64> = cols[0].postings.iter().map(|p| p.key).collect();
-        assert_eq!(keys, vec![1.0, 2.0, 3.0]);
+        let lists: Vec<(f64, &[u64])> = cols[0].postings(0..3).collect();
         // Value 3.0 appears in rows 0 and 2; ids must be ascending.
-        assert_eq!(cols[0].postings[2].ids, vec![0, 2]);
+        assert_eq!(lists, vec![(1.0, &[1][..]), (2.0, &[3]), (3.0, &[0, 2])]);
 
-        let keys: Vec<f64> = cols[1].postings.iter().map(|p| p.key).collect();
-        assert_eq!(keys, vec![10.0, 20.0, 30.0]);
-        assert_eq!(cols[1].postings[0].ids, vec![0, 1]);
+        let lists: Vec<(f64, &[u64])> = cols[1].postings(0..3).collect();
+        assert_eq!(lists, vec![(10.0, &[0, 1][..]), (20.0, &[3]), (30.0, &[2])]);
     }
 
     #[test]
     fn decompose_preserves_row_count() {
         let cols = vertical_decompose(&rows(), 2).unwrap();
         for c in &cols {
-            assert_eq!(c.num_ids(), 4);
+            assert_eq!(c.postings(0..c.num_keys()).map(|(_, ids)| ids.len()).sum::<usize>(), 4);
         }
         assert_eq!(cols[0].num_keys(), 3);
     }
@@ -188,49 +210,79 @@ mod tests {
     fn decompose_empty_dataset() {
         let cols = vertical_decompose(&[], 3).unwrap();
         assert_eq!(cols.len(), 3);
-        assert!(cols.iter().all(|c| c.postings.is_empty()));
+        assert!(cols.iter().all(|c| c.num_keys() == 0 && c.ids.is_empty()));
     }
 
     #[test]
     fn split_respects_target_and_order() {
-        let postings: Vec<PostingList> =
-            (0..100).map(|i| PostingList::new(i as f64, vec![i]).unwrap()).collect();
-        let column = InvertedColumn { dim: 0, postings: postings.clone() };
-        let per_list = postings[50].encoded_len().unwrap();
-        let runs = split_into_chunks(column, per_list * 10).unwrap();
+        let column = unit_column(100);
+        let per_list = posting_encoded_len(&[50]);
+        let runs = split_into_chunks(&column, per_list * 10);
         assert!(runs.len() > 1);
         // All postings survive, in order.
-        let flat: Vec<f64> = runs.iter().flatten().map(|p| p.key).collect();
+        let flat: Vec<f64> = runs.iter().flat_map(|r| keys_of(&column, r.clone())).collect();
         assert_eq!(flat, (0..100).map(|i| i as f64).collect::<Vec<_>>());
         // Every run except the last hits the target.
         for run in &runs[..runs.len() - 1] {
-            let bytes: usize = run.iter().map(|p| p.encoded_len().unwrap()).sum();
+            let bytes: usize =
+                column.postings(run.clone()).map(|(_, ids)| posting_encoded_len(ids)).sum();
             assert!(bytes >= per_list * 10);
         }
     }
 
     #[test]
     fn split_single_giant_target_yields_one_chunk() {
-        let postings = vec![PostingList::new(1.0, vec![0]).unwrap()];
-        let column = InvertedColumn { dim: 0, postings };
-        let runs = split_into_chunks(column, usize::MAX).unwrap();
-        assert_eq!(runs.len(), 1);
+        assert_eq!(split_into_chunks(&unit_column(1), usize::MAX), vec![0..1]);
     }
 
     #[test]
     fn split_tiny_target_yields_one_chunk_per_list() {
-        let postings: Vec<PostingList> =
-            (0..10).map(|i| PostingList::new(i as f64, vec![i]).unwrap()).collect();
-        let column = InvertedColumn { dim: 0, postings };
-        let runs = split_into_chunks(column, 1).unwrap();
-        assert_eq!(runs.len(), 10);
-        assert!(runs.iter().all(|r| r.len() == 1));
+        let runs = split_into_chunks(&unit_column(10), 1);
+        assert_eq!(runs, (0..10).map(|e| e..e + 1).collect::<Vec<_>>());
     }
 
     #[test]
     fn split_empty_column() {
-        let column = InvertedColumn { dim: 0, postings: vec![] };
-        assert!(split_into_chunks(column, 100).unwrap().is_empty());
+        assert!(split_into_chunks(&unit_column(0), 100).is_empty());
+    }
+
+    /// The arithmetic length the splitter adds up is the length the chunk
+    /// encoder actually writes, for any list shape.
+    #[test]
+    fn posting_encoded_len_equals_encoded_payload() {
+        // magic + dim + seq + entries + crc around the payload.
+        const FRAME: usize = 8 + 4 + 4 + 4 + 4;
+        let mut rng = uei_types::Rng::new(0x5EED);
+        for case in 0..200 {
+            let len = 1 + rng.below_usize(300);
+            // Gaps from 1 to 2^63 / len keep the last id within u64.
+            let max_gap_bits = rng.below(63 - 9) as u32 + 1;
+            let mut ids = Vec::with_capacity(len);
+            let mut id = rng.below(1 << max_gap_bits);
+            for _ in 0..len {
+                ids.push(id);
+                id += 1 + rng.below(1 << max_gap_bits);
+            }
+            let chunk =
+                Chunk::from_postings(ChunkId::new(0, 0), [(case as f64, &ids[..])]).unwrap();
+            assert_eq!(posting_encoded_len(&ids), chunk.encode().len() - FRAME, "case {case}");
+        }
+        let wide = [0, 1 << 62, 1 << 63, u64::MAX];
+        let chunk = Chunk::from_postings(ChunkId::new(0, 0), [(0.0, &wide[..])]).unwrap();
+        assert_eq!(posting_encoded_len(&wide), chunk.encode().len() - FRAME);
+    }
+
+    #[test]
+    fn chunks_cut_the_column_in_sequence() {
+        let cols = vertical_decompose(&rows(), 2).unwrap();
+        // A one-byte target closes a chunk after every posting list.
+        let chunks: Vec<Chunk> = cols[1].chunks(1).collect::<Result<_>>().unwrap();
+        assert_eq!(chunks.len(), 3);
+        assert_eq!(chunks[2].id, ChunkId::new(1, 2));
+        assert_eq!(chunks[2].postings(0..1).collect::<Vec<_>>(), vec![(30.0, &[2][..])]);
+        let whole: Vec<Chunk> = cols[1].chunks(usize::MAX).collect::<Result<_>>().unwrap();
+        assert_eq!(whole.len(), 1);
+        assert_eq!(whole[0].num_ids(), 4);
     }
 
     #[test]

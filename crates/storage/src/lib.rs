@@ -14,14 +14,15 @@
 //!   virtual clock. All experiment response times are reported from this
 //!   model so that "dataset 100× larger than memory" can be reproduced on a
 //!   laptop (see DESIGN.md §2, substitution 8);
-//! - [`postings`] / [`chunk`] — the on-disk chunk format (delta-encoded
-//!   varint posting lists, CRC-32 protected);
+//! - [`chunk`] — the on-disk chunk format (delta-encoded varint posting
+//!   lists, CRC-32 protected) and its flat in-memory form;
 //! - [`manifest`] — the per-dataset catalog of chunks and their key ranges;
 //! - [`column`](mod@column) — vertical decomposition of row data into sorted postings;
 //! - [`store`] — [`store::ColumnStore`]: creation (index-initialization
 //!   phase, Algorithm 2 lines 2–6) and reading;
-//! - [`merge`] — hash-table reconstruction of a subspace from its chunks
-//!   (Algorithm 2 line 19), chunk-at-a-time to bound memory;
+//! - [`merge`] — reconstruction of a subspace from its chunks (Algorithm 2
+//!   line 19): the paper's hash-table merge as a row-id bitmap
+//!   intersection;
 //! - [`cache`] — byte-budgeted LRU chunk caching: the sharded,
 //!   lock-striped [`cache::SharedChunkCache`] shared by the foreground
 //!   loader, the background prefetcher, and every session of an engine
@@ -61,7 +62,6 @@ pub mod journal;
 pub mod lru;
 pub mod manifest;
 pub mod merge;
-pub mod postings;
 pub mod source;
 pub mod store;
 pub mod testutil;
@@ -78,7 +78,6 @@ pub use io::{DiskTracker, IoProfile, IoSnapshot, IoStats};
 pub use journal::{FsyncPolicy, JournalConfig, JournalContents, SessionJournal};
 pub use manifest::{ChunkMeta, Manifest};
 pub use merge::{reconstruct_region, MergeStats, RegionChunkSet};
-pub use postings::PostingList;
 pub use source::{ChunkSource, MemChunkSource};
 pub use store::{ColumnStore, StoreConfig};
 pub use testutil::TempDir;

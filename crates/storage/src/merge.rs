@@ -1,4 +1,4 @@
-//! Hash-table reconstruction of a subspace from its chunks.
+//! Reconstruction of a subspace from its chunks.
 //!
 //! Implements the merge process of paper §3.1: "to reconstruct each g when
 //! needed, UEI utilizes a hash table [...] UEI iterates through each
@@ -10,12 +10,18 @@
 //! release the memory space used to hold the data chunk."
 //!
 //! A row belongs to the subspace only if *every* dimension's value falls in
-//! the cell's range, so the hash table doubles as an intersection: after
-//! dimension 0 seeds the candidate set, later dimensions only fill in
-//! values for rows already present, and rows that miss any dimension are
-//! dropped at the end.
+//! the cell's range, so the table is really an intersection: dimension 0
+//! seeds the candidate set and each later dimension can only shrink it.
+//! Row ids are dense, so the "hash table" is realised as a bitmap over row
+//! ids (the key set, intersected dimension by dimension) plus the output
+//! rows themselves as the value arena, filled once the survivors are
+//! known — no hashing, and no allocation per candidate that does not
+//! survive. The paper's chunk-at-a-time release is replaced by the
+//! retained [`RegionChunkSet`]: consecutive regions overlap, so a region's
+//! decoded chunks are kept for the next load instead of dropped.
 
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::Arc;
 
 use uei_types::{DataPoint, Region, Result, UeiError};
@@ -35,14 +41,10 @@ pub struct MergeStats {
     /// Chunks reused from the previous region's decoded set without
     /// touching the fetch path.
     pub chunks_reused: u64,
-    /// Total encoded bytes of the reused chunks — I/O the delta avoided
-    /// even in the worst (all-cold-cache) case.
-    pub bytes_reused: u64,
     /// Posting-list entries whose key fell inside the per-dimension range.
     pub entries_matched: u64,
-    /// Row-id insertions/updates performed on the hash table.
-    pub id_updates: u64,
-    /// Candidate rows after the seed dimension.
+    /// Candidate rows after the seed dimension: the in-range ids of
+    /// dimension 0.
     pub seed_candidates: u64,
     /// Rows in the reconstructed subspace.
     pub result_rows: u64,
@@ -57,7 +59,7 @@ pub struct MergeStats {
 /// regions, not just adjacent ones.
 #[derive(Debug, Default)]
 pub struct RegionChunkSet {
-    chunks: HashMap<ChunkId, (Arc<Chunk>, u64)>,
+    chunks: HashMap<ChunkId, Arc<Chunk>>,
 }
 
 impl RegionChunkSet {
@@ -80,26 +82,48 @@ impl RegionChunkSet {
     pub fn contains(&self, id: ChunkId) -> bool {
         self.chunks.contains_key(&id)
     }
+}
 
-    /// Total encoded file bytes of the retained chunks.
-    pub fn encoded_bytes(&self) -> u64 {
-        self.chunks.values().map(|(_, size)| size).sum()
+/// Largest row id the bitmap intersection accepts. Stores carry dense ids
+/// `0..n`, so this bounds a dataset at 2^32 rows (a 512 MB bitmap) and keeps
+/// an id forged past both chunk CRCs from sizing an absurd allocation.
+const MAX_ROW_ID: u64 = u32::MAX as u64;
+
+/// A set of row ids in `0..=max_id`, one bit each.
+struct IdBitmap {
+    words: Vec<u64>,
+}
+
+impl IdBitmap {
+    fn new(max_id: u64) -> Self {
+        IdBitmap { words: vec![0; (max_id / 64) as usize + 1] }
     }
 
-    fn get(&self, id: ChunkId) -> Option<(Arc<Chunk>, u64)> {
-        self.chunks.get(&id).map(|(c, s)| (Arc::clone(c), *s))
+    /// Bounds-checked membership: ids past the bitmap are simply absent.
+    #[inline]
+    fn contains(&self, id: u64) -> bool {
+        let word = usize::try_from(id / 64).ok().and_then(|w| self.words.get(w));
+        word.is_some_and(|w| w >> (id % 64) & 1 == 1)
     }
 
-    fn insert(&mut self, id: ChunkId, chunk: Arc<Chunk>, file_size: u64) {
-        self.chunks.insert(id, (chunk, file_size));
+    /// Inserts an id no larger than the `max_id` the bitmap was sized for.
+    #[inline]
+    fn insert(&mut self, id: u64) {
+        self.words[(id / 64) as usize] |= 1 << (id % 64);
+    }
+
+    /// Member ids in ascending order, skipping empty words.
+    fn iter(&self) -> impl Iterator<Item = u64> + '_ {
+        let occupied = self.words.iter().enumerate().filter(|(_, &word)| word != 0);
+        occupied.flat_map(|(w, &word)| {
+            (0..64).filter(move |bit| word >> bit & 1 == 1).map(move |bit| w as u64 * 64 + bit)
+        })
     }
 }
 
-#[derive(Debug)]
-struct Candidate {
-    values: Vec<f64>,
-    seen: u64, // bitmask of dimensions filled in
-}
+/// The part of one dimension's slab that one chunk holds: the chunk and its
+/// run of entries whose key is inside the region.
+type SlabPart = (Arc<Chunk>, Range<usize>);
 
 /// Reconstructs every row of `region` from exactly the chunks the caller
 /// names per dimension — the index's mapping method `m` has already
@@ -116,10 +140,15 @@ struct Candidate {
 /// moves slowly, the same premise the σ/θ prefetch machinery rests on
 /// (§3.2) — so the fetched delta is usually a small fraction of the region.
 ///
+/// Every dimension's chunks are fetched, in dimension order, before any
+/// intersecting happens, and later dimensions are skipped only when
+/// dimension 0 has no in-range id: *which* chunks are fetched in *what*
+/// order is what the modeled I/O and every cache's LRU state see, so it
+/// does not depend on how the in-memory intersection goes.
+///
 /// Returns the rows (ordered by row id), the work counters, and the
 /// region's own [`RegionChunkSet`] (covering *all* its chunks, reused and
-/// fresh) to pass as the next load's `prev`. Supports up to 64 dimensions
-/// (the bitmask width); the paper's experiments use 5.
+/// fresh) to pass as the next load's `prev`.
 pub fn reconstruct_region(
     source: &dyn ChunkSource,
     region: &Region,
@@ -134,83 +163,104 @@ pub fn reconstruct_region(
     if chunks_per_dim.len() != dims {
         return Err(UeiError::DimensionMismatch { expected: dims, actual: chunks_per_dim.len() });
     }
-    if dims > 64 {
-        return Err(UeiError::invalid_config(format!(
-            "reconstruct_region supports at most 64 dimensions, got {dims}"
-        )));
-    }
     let inclusive_hi = region.is_closed();
     let mut stats = MergeStats::default();
-    let mut table: HashMap<u64, Candidate> = HashMap::new();
     let mut new_set = RegionChunkSet::new();
 
+    // Phase 1 — fetch every dimension's slab.
+    let mut slabs: Vec<Vec<SlabPart>> = Vec::with_capacity(dims);
     for d in 0..dims {
-        let (lo, hi) = (region.lo[d], region.hi[d]);
-        let bit = 1u64 << d;
+        let mut slab = Vec::with_capacity(chunks_per_dim[d].len());
         for &id in &chunks_per_dim[d] {
-            let (chunk, file_size) = match prev.and_then(|p| p.get(id)) {
-                Some((chunk, file_size)) => {
+            let chunk = match prev.and_then(|p| p.chunks.get(&id)) {
+                Some(chunk) => {
                     stats.chunks_reused += 1;
-                    stats.bytes_reused += file_size;
-                    (chunk, file_size)
+                    Arc::clone(chunk)
                 }
                 None => {
                     let file_size = source.chunk_file_size(id)?;
                     let chunk = fetch(id)?;
                     stats.chunks_loaded += 1;
                     stats.chunk_bytes += file_size;
-                    (chunk, file_size)
+                    chunk
                 }
             };
-            new_set.insert(id, Arc::clone(&chunk), file_size);
-            chunk.scan_range(lo, hi, inclusive_hi, |entry| {
-                stats.entries_matched += 1;
-                for &id in &entry.ids {
-                    if d == 0 {
-                        stats.id_updates += 1;
-                        table.insert(
-                            id,
-                            Candidate {
-                                values: {
-                                    let mut v = vec![0.0; dims];
-                                    v[0] = entry.key;
-                                    v
-                                },
-                                seen: bit,
-                            },
-                        );
-                    } else if let Some(c) = table.get_mut(&id) {
-                        stats.id_updates += 1;
-                        c.values[d] = entry.key;
-                        c.seen |= bit;
-                    }
-                }
-            });
-            // `chunk` drops here; memory held at once is bounded by one
-            // chunk plus whatever the cache retains within its budget plus
-            // the retained region set.
-        }
-        if d == 0 {
-            stats.seed_candidates = table.len() as u64;
-            if table.is_empty() {
-                // No candidate can survive the intersection; skip the
-                // remaining dimensions entirely. The returned set then
-                // only covers dimension 0 — reuse is keyed per chunk, so a
-                // partial set is still valid.
-                break;
+            new_set.chunks.insert(id, Arc::clone(&chunk));
+            let entries = chunk.entry_range(region.lo[d], region.hi[d], inclusive_hi);
+            stats.entries_matched += entries.len() as u64;
+            if d == 0 {
+                stats.seed_candidates += chunk.ids_in(entries.clone()).len() as u64;
             }
+            slab.push((chunk, entries));
+        }
+        slabs.push(slab);
+        if d == 0 && stats.seed_candidates == 0 {
+            // No candidate can survive the intersection; skip the
+            // remaining dimensions entirely. The returned set then only
+            // covers dimension 0 — reuse is keyed per chunk, so a partial
+            // set is still valid.
+            break;
         }
     }
 
-    let full = if dims == 64 { u64::MAX } else { (1u64 << dims) - 1 };
-    let mut rows: Vec<DataPoint> = table
-        .into_iter()
-        .filter(|(_, c)| c.seen == full)
-        .map(|(id, c)| DataPoint::new(id, c.values))
-        .collect();
-    rows.sort_unstable_by_key(|p| p.id);
+    let rows = if stats.seed_candidates > 0 { intersect(&slabs)? } else { Vec::new() };
     stats.result_rows = rows.len() as u64;
     Ok((rows, stats, new_set))
+}
+
+/// Phases 2 and 3: intersects the per-dimension slabs (dimension 0's must
+/// hold at least one id) and materializes the surviving rows, ascending by
+/// id.
+fn intersect(slabs: &[Vec<SlabPart>]) -> Result<Vec<DataPoint>> {
+    let slab_ids = |d: usize| slabs[d].iter().map(|(chunk, entries)| chunk.ids_in(entries.clone()));
+
+    // Phase 2 — seed a bitmap from dimension 0, then keep only the ids each
+    // later dimension also holds.
+    let max_id = slab_ids(0).flatten().copied().max().expect("seed slab holds an id");
+    if max_id > MAX_ROW_ID {
+        return Err(UeiError::corrupt(format!(
+            "row id {max_id} is past the {MAX_ROW_ID} the region merge supports"
+        )));
+    }
+    let mut alive = IdBitmap::new(max_id);
+    for &id in slab_ids(0).flatten() {
+        alive.insert(id);
+    }
+    let mut next = IdBitmap::new(max_id);
+    for d in 1..slabs.len() {
+        let mut any = false;
+        for ids in slab_ids(d) {
+            for &id in ids {
+                if alive.contains(id) {
+                    next.insert(id);
+                    any = true;
+                }
+            }
+        }
+        if !any {
+            return Ok(Vec::new());
+        }
+        std::mem::swap(&mut alive, &mut next);
+        next.words.fill(0);
+    }
+
+    // Phase 3 — list the survivors in id order and fill their values in by
+    // a second membership pass over the same slabs.
+    let mut rows: Vec<DataPoint> =
+        alive.iter().map(|id| DataPoint::new(id, vec![0.0; slabs.len()])).collect();
+    for (d, slab) in slabs.iter().enumerate() {
+        for (chunk, entries) in slab {
+            for (key, ids) in chunk.postings(entries.clone()) {
+                for &id in ids.iter().filter(|&&id| alive.contains(id)) {
+                    let row = rows
+                        .binary_search_by_key(&id, |p| p.id.as_u64())
+                        .expect("every alive id was listed as a row");
+                    rows[row].values[d] = key;
+                }
+            }
+        }
+    }
+    Ok(rows)
 }
 
 #[cfg(test)]
@@ -218,6 +268,7 @@ mod tests {
     use super::*;
     use crate::cache::SharedChunkCache;
     use crate::io::{DiskTracker, IoProfile};
+    use crate::source::MemChunkSource;
     use crate::store::{ColumnStore, StoreConfig};
     use uei_types::{AttributeDef, Rng, Schema};
 
@@ -381,7 +432,6 @@ mod tests {
         // Overlapping chunks were reused, and reuse really skipped I/O.
         assert!(stats_b.chunks_reused > 0, "overlapping regions share chunks");
         assert_eq!(delta_io, stats_b.chunk_bytes, "only the delta was read");
-        assert!(stats_b.bytes_reused > 0);
         // The new set covers the whole region b (reused + fresh).
         assert_eq!(set_b.len() as u64, stats_b.chunks_loaded + stats_b.chunks_reused);
         for dim_ids in chunks_for(&store, &b) {
@@ -447,10 +497,77 @@ mod tests {
 
     #[test]
     fn stats_entries_bounded_by_work() {
-        let (store, _, _dir) = build("stats", 600, 256);
+        let (store, rows, _dir) = build("stats", 600, 256);
         let region = Region::new(vec![40.0, 40.0, 40.0], vec![60.0, 60.0, 60.0]).unwrap();
         let (_, stats) = reconstruct_cold(&store, &region);
-        assert!(stats.id_updates >= stats.result_rows * 3, "each result row updated 3 times");
+        assert!(stats.entries_matched >= stats.result_rows * 3, "each result row matched 3 times");
+        let in_x = rows.iter().filter(|p| (40.0..60.0).contains(&p.values[0])).count();
+        assert_eq!(stats.seed_candidates, in_x as u64, "the seed is dimension 0's in-range ids");
         assert!(stats.seed_candidates >= stats.result_rows);
+    }
+
+    /// A wide in-memory dataset: `dims` uniform columns over `0..100`.
+    fn wide_source(
+        dims: usize,
+        n: usize,
+        ids: impl Fn(usize) -> u64,
+    ) -> (MemChunkSource, Vec<DataPoint>) {
+        let schema = Schema::new(
+            (0..dims).map(|d| AttributeDef::new(format!("d{d}"), 0.0, 100.0).unwrap()).collect(),
+        )
+        .unwrap();
+        let mut rng = Rng::new(70);
+        let rows: Vec<DataPoint> = (0..n)
+            .map(|i| DataPoint::new(ids(i), (0..dims).map(|_| rng.range_f64(0.0, 100.0)).collect()))
+            .collect();
+        let tracker = DiskTracker::new(IoProfile::instant());
+        (MemChunkSource::from_rows(schema, &rows, 512, tracker).unwrap(), rows)
+    }
+
+    /// Every chunk of every dimension: what a mapping resolves for a
+    /// region that spans the domain.
+    fn all_chunks(source: &MemChunkSource, dims: usize) -> Vec<Vec<ChunkId>> {
+        (0..dims as u32)
+            .map(|d| {
+                (0..)
+                    .map(|seq| ChunkId::new(d, seq))
+                    .take_while(|&id| source.chunk_file_size(id).is_ok())
+                    .collect()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn seventy_dimensions_match_brute_force() {
+        let (source, rows) = wide_source(70, 200, |i| i as u64);
+        // Wide enough per dimension that some of the 200 rows survive 70
+        // intersections: 0.98^70 ≈ 0.24.
+        let region = Region::new(vec![1.0; 70], vec![99.0; 70]).unwrap();
+        let chunks = all_chunks(&source, 70);
+        let (got, stats, _) = reconstruct_region(&source, &region, &chunks, None, &mut |id| {
+            source.read_chunk(id).map(Arc::new)
+        })
+        .unwrap();
+        let expect: Vec<&DataPoint> =
+            rows.iter().filter(|p| region.contains(&p.values).unwrap()).collect();
+        assert!(!expect.is_empty() && expect.len() < rows.len(), "{} survivors", expect.len());
+        assert_eq!(got.iter().collect::<Vec<_>>(), expect);
+        assert_eq!(stats.result_rows as usize, expect.len());
+    }
+
+    #[test]
+    fn row_ids_past_the_bitmap_limit_are_a_typed_error() {
+        // Row ids are dense in every real store; a source that breaks that
+        // must not size the bitmap from a wild id.
+        let (source, _) = wide_source(2, 50, |i| (i as u64) << 40);
+        let region = Region::closed(vec![0.0; 2], vec![100.0; 2]).unwrap();
+        let got = reconstruct_region(&source, &region, &all_chunks(&source, 2), None, &mut |id| {
+            source.read_chunk(id).map(Arc::new)
+        });
+        assert!(
+            matches!(got, Err(UeiError::Corrupt { .. })),
+            "got {:?}",
+            got.map(|(rows, ..)| rows.len())
+        );
     }
 }

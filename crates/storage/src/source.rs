@@ -15,7 +15,7 @@ use std::sync::Arc;
 use uei_types::{DataPoint, Result, Schema, UeiError};
 
 use crate::chunk::{Chunk, ChunkId};
-use crate::column::{split_into_chunks, vertical_decompose};
+use crate::column::vertical_decompose;
 use crate::io::DiskTracker;
 use crate::store::ColumnStore;
 
@@ -106,11 +106,9 @@ impl MemChunkSource {
         let columns = vertical_decompose(rows, dims)?;
         let mut chunks = HashMap::new();
         for column in columns {
-            let dim = column.dim as u32;
-            for (seq, run) in split_into_chunks(column, chunk_target_bytes)?.into_iter().enumerate()
-            {
-                let chunk = Chunk::new(ChunkId::new(dim, seq as u32), run)?;
-                chunks.insert(chunk.id, chunk.encode()?);
+            for chunk in column.chunks(chunk_target_bytes) {
+                let chunk = chunk?;
+                chunks.insert(chunk.id, chunk.encode());
             }
         }
         Ok(MemChunkSource { schema, chunks: Arc::new(chunks), tracker })
@@ -207,7 +205,7 @@ mod tests {
                 assert_eq!(mem.chunk_file_size(id).unwrap(), meta.file_size);
                 let a = ChunkSource::read_chunk(&store, id).unwrap();
                 let b = ChunkSource::read_chunk(&mem, id).unwrap();
-                assert_eq!(a.encode().unwrap(), b.encode().unwrap(), "chunk {id} differs");
+                assert_eq!(a.encode(), b.encode(), "chunk {id} differs");
             }
         }
     }

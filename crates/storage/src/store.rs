@@ -23,7 +23,7 @@ use rayon::prelude::*;
 use uei_types::{DataPoint, Result, Schema, UeiError};
 
 use crate::chunk::{Chunk, ChunkId};
-use crate::column::{split_into_chunks, vertical_decompose};
+use crate::column::vertical_decompose;
 use crate::io::DiskTracker;
 use crate::manifest::{ChunkMeta, Manifest, MANIFEST_VERSION};
 
@@ -87,16 +87,13 @@ impl ColumnStore {
         let columns = vertical_decompose(rows, dims)?;
         let mut catalogs: Vec<Vec<ChunkMeta>> = Vec::with_capacity(dims);
         for column in columns {
-            let dim = column.dim as u32;
             let mut catalog = Vec::new();
-            for (seq, run) in
-                split_into_chunks(column, config.chunk_target_bytes)?.into_iter().enumerate()
-            {
-                let chunk = Chunk::new(ChunkId::new(dim, seq as u32), run)?;
-                let bytes = chunk.encode()?;
+            for chunk in column.chunks(config.chunk_target_bytes) {
+                let chunk = chunk?;
+                let bytes = chunk.encode();
                 let meta = ChunkMeta {
-                    dim,
-                    seq: seq as u32,
+                    dim: chunk.id.dim,
+                    seq: chunk.id.seq,
                     min_key: chunk.min_key(),
                     max_key: chunk.max_key(),
                     num_entries: chunk.num_entries() as u64,
@@ -399,18 +396,14 @@ impl ColumnStore {
                     )));
                 }
                 last_key = chunk.max_key();
-                for entry in &chunk.entries {
-                    for &id in &entry.ids {
-                        let slot = covered.get_mut(id as usize).ok_or_else(|| {
-                            UeiError::corrupt(format!("dim {d}: posting id {id} out of range"))
-                        })?;
-                        if *slot {
-                            return Err(UeiError::corrupt(format!(
-                                "dim {d}: row {id} posted twice"
-                            )));
-                        }
-                        *slot = true;
+                for &id in chunk.ids_in(0..chunk.num_entries()) {
+                    let slot = covered.get_mut(id as usize).ok_or_else(|| {
+                        UeiError::corrupt(format!("dim {d}: posting id {id} out of range"))
+                    })?;
+                    if *slot {
+                        return Err(UeiError::corrupt(format!("dim {d}: row {id} posted twice")));
                     }
+                    *slot = true;
                 }
             }
             if let Some(missing) = covered.iter().position(|&c| !c) {
@@ -498,9 +491,6 @@ fn validate_rows_header(header: &[u8], dims: usize, num_rows: u64) -> Result<()>
     Ok(())
 }
 
-/// Re-export for `RowId` users of this module.
-pub use uei_types::point::RowId as StoreRowId;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -549,6 +539,67 @@ mod tests {
         assert_eq!(reopened.manifest().dims, store.manifest().dims);
     }
 
+    /// The on-disk format is pinned independently of the in-memory layout:
+    /// per dimension, the chunk count, total file bytes, a digest of every
+    /// catalog tuple and a digest of the chunk files themselves, captured
+    /// at commit 12fdd3e (before the write path went flat). (The catalog `crc32` is the CRC of a file that ends in its
+    /// own CRC — one constant for every chunk — so the file digest is what
+    /// pins the contents.) This is what keeps `stored_bytes_per_user_byte`
+    /// and `bytes_read_per_iter` where they were.
+    #[test]
+    fn create_writes_the_parent_format() {
+        fn fnv(h: &mut u64, bytes: &[u8]) {
+            for &b in bytes {
+                *h = (*h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+        // (chunks, file bytes, catalog digest, file digest) per dimension.
+        const PARENT: [(usize, u64, u64, u64); 3] = [
+            (43, 22_904, 0x443e_0dde_eccc_40b1, 0xee10_a188_9454_ed5b),
+            (4, 2_246, 0x7c03_948f_c20b_5ae2, 0x59bd_23c2_3b90_02a9),
+            (43, 22_904, 0x7c2e_f10d_004d_2e23, 0xbd6e_73ab_fd56_0a9d),
+        ];
+
+        let dir = temp_dir("format");
+        let schema = Schema::new(
+            ["x", "y", "z"].map(|n| AttributeDef::new(n, 0.0, 100.0).unwrap()).to_vec(),
+        )
+        .unwrap();
+        let mut rng = Rng::new(9);
+        // x and z continuous (one id per key), y on 16 levels (long lists).
+        let rows: Vec<DataPoint> = (0..2000)
+            .map(|i| {
+                let x = rng.range_f64(0.0, 100.0);
+                let y = rng.range_f64(0.0, 16.0).floor() * 6.25;
+                let z = rng.range_f64(0.0, 100.0);
+                DataPoint::new(i as u64, vec![x, y, z])
+            })
+            .collect();
+        let store = ColumnStore::create(
+            dir.path(),
+            schema,
+            &rows,
+            StoreConfig { chunk_target_bytes: 512 },
+            DiskTracker::new(IoProfile::instant()),
+        )
+        .unwrap();
+        store.verify().unwrap();
+        for (d, catalog) in store.manifest().dims.iter().enumerate() {
+            let (mut tuples, mut files) = (FNV_OFFSET, FNV_OFFSET);
+            for m in catalog {
+                let tuple = format!(
+                    "{},{},{},{},{:?},{:?};",
+                    m.file_size, m.crc32, m.num_entries, m.num_ids, m.min_key, m.max_key
+                );
+                fnv(&mut tuples, tuple.as_bytes());
+                fnv(&mut files, &std::fs::read(dir.join(m.id().file_name())).unwrap());
+            }
+            let bytes: u64 = catalog.iter().map(|m| m.file_size).sum();
+            assert_eq!((catalog.len(), bytes, tuples, files), PARENT[d], "dimension {d}");
+        }
+    }
+
     #[test]
     fn chunks_cover_all_ids_in_order() {
         let dir = temp_dir("coverage");
@@ -569,9 +620,7 @@ mod tests {
                 let chunk = store.read_chunk(meta.id()).unwrap();
                 assert!(chunk.min_key() > last_key, "chunk sequences ascend");
                 last_key = chunk.max_key();
-                for e in &chunk.entries {
-                    all_ids.extend(&e.ids);
-                }
+                all_ids.extend(chunk.ids_in(0..chunk.num_entries()));
             }
             all_ids.sort_unstable();
             assert_eq!(all_ids, (0..300u64).collect::<Vec<_>>(), "dim {dim} covers every row");
@@ -722,6 +771,26 @@ mod tests {
     }
 
     #[test]
+    fn decode_chunk_rejects_another_chunks_bytes() {
+        let dir = temp_dir("wrongid");
+        let tracker = DiskTracker::new(IoProfile::instant());
+        let store = ColumnStore::create(
+            dir.path(),
+            schema2(),
+            &make_rows(100),
+            StoreConfig { chunk_target_bytes: 128 },
+            tracker,
+        )
+        .unwrap();
+        let (a, b) = (store.manifest().dims[0][0].id(), store.manifest().dims[0][1].id());
+        // A healthy file in the wrong place passes both CRCs; only the id
+        // inside it says it is not the chunk that was asked for.
+        let bytes_b = store.read_chunk_bytes(b).unwrap();
+        assert!(store.decode_chunk(b, &bytes_b).is_ok());
+        assert!(matches!(store.decode_chunk(a, &bytes_b), Err(UeiError::Corrupt { .. })));
+    }
+
+    #[test]
     fn legacy_catalog_without_checksums_reads_identical_chunks() {
         let dir = temp_dir("legacycrc");
         let tracker = DiskTracker::new(IoProfile::instant());
@@ -797,10 +866,9 @@ mod tests {
         // the CRC is fine, but coverage breaks.
         let meta = store.manifest().dims[0][0].clone();
         let chunk = store.read_chunk(meta.id()).unwrap();
-        let mut entries = chunk.entries.clone();
-        entries.pop();
-        let forged = crate::chunk::Chunk::new(meta.id(), entries).unwrap();
-        std::fs::write(dir.join(meta.id().file_name()), forged.encode().unwrap()).unwrap();
+        let forged =
+            Chunk::from_postings(meta.id(), chunk.postings(0..chunk.num_entries() - 1)).unwrap();
+        std::fs::write(dir.join(meta.id().file_name()), forged.encode()).unwrap();
         match store.verify() {
             Err(UeiError::Corrupt { .. }) => {}
             other => panic!("expected Corrupt, got {other:?}"),

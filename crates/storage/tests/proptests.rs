@@ -1,22 +1,24 @@
-//! Property-based tests for the storage engine: chunk codec, store
-//! round-trips, subspace reconstruction vs brute force, a model-based
-//! LRU check, and journal durability (replay fidelity, acked-record
+//! Property-based tests for the storage engine: chunk codec (round trip,
+//! CRC, and structural hardening on bytes that pass the CRC), store
+//! round-trips, subspace reconstruction vs brute force (rows, counters
+//! and the fetch schedule), a model-based LRU check, and journal durability (replay fidelity, acked-record
 //! survival across kills at arbitrary write boundaries).
 
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
 use proptest::prelude::*;
 use uei_storage::cache::{SessionChunkView, SharedChunkCache};
+use uei_storage::checksum::crc32;
 use uei_storage::chunk::{Chunk, ChunkId};
 use uei_storage::fault::{FaultConfig, FaultInjector, KillMode};
 use uei_storage::io::{DiskTracker, IoProfile};
 use uei_storage::journal::{FsyncPolicy, JournalConfig, SessionJournal};
 use uei_storage::lru::LruMap;
 use uei_storage::merge::{reconstruct_region, RegionChunkSet};
-use uei_storage::postings::PostingList;
+use uei_storage::source::{ChunkSource, MemChunkSource};
 use uei_storage::store::{ColumnStore, StoreConfig};
-use uei_types::{AttributeDef, DataPoint, Region, Schema};
+use uei_types::{AttributeDef, DataPoint, Region, Rng, Schema, UeiError};
 
 /// Per-dimension chunk ids overlapping `region` (what the index's cell →
 /// chunk mapping would hand the loader).
@@ -37,44 +39,68 @@ fn chunks_for(store: &ColumnStore, region: &Region) -> Vec<Vec<ChunkId>> {
 /// What `reconstruct_region` fetches chunks through.
 type Fetch<'a> = dyn FnMut(ChunkId) -> uei_types::Result<Arc<Chunk>> + 'a;
 
-fn posting_strategy() -> impl Strategy<Value = PostingList> {
-    (-1e6f64..1e6, proptest::collection::btree_set(0u64..100_000, 1..30)).prop_map(|(key, ids)| {
-        PostingList::new(key, ids.into_iter().collect()).expect("sorted dedup ids")
-    })
-}
-
 fn chunk_strategy() -> impl Strategy<Value = Chunk> {
     proptest::collection::btree_map(
         // Keys of a BTreeMap are unique and iterate ascending: exactly the
         // chunk invariant. Map float bits through an ordered integer key.
         0u32..1_000_000,
-        proptest::collection::btree_set(0u64..100_000, 1..10),
+        proptest::collection::btree_set(0u64..100_000, 1..30),
         1..40,
     )
     .prop_map(|entries| {
-        let postings: Vec<PostingList> = entries
+        let postings: Vec<(f64, Vec<u64>)> = entries
             .into_iter()
-            .map(|(k, ids)| PostingList::new(k as f64 * 0.25, ids.into_iter().collect()).unwrap())
+            .map(|(k, ids)| (k as f64 * 0.25, ids.into_iter().collect()))
             .collect();
-        Chunk::new(ChunkId::new(1, 2), postings).unwrap()
+        Chunk::from_postings(ChunkId::new(1, 2), postings.iter().map(|(k, ids)| (*k, &ids[..])))
+            .unwrap()
     })
+}
+
+/// Every invariant `Chunk` promises, checked through its public surface.
+fn assert_chunk_invariants(chunk: &Chunk) {
+    let n = chunk.num_entries();
+    assert!(n > 0, "a chunk has at least one entry");
+    let mut last_key: Option<f64> = None;
+    let mut total = 0;
+    for (key, ids) in chunk.postings(0..n) {
+        assert!(!key.is_nan());
+        assert!(last_key.is_none_or(|last| key > last), "keys strictly ascending");
+        last_key = Some(key);
+        assert!(!ids.is_empty(), "no empty list");
+        assert!(ids.windows(2).all(|w| w[0] < w[1]), "ids strictly ascending");
+        total += ids.len();
+    }
+    // Offsets are monotone and end at the id array's length.
+    assert_eq!(total, chunk.num_ids());
+    assert_eq!(chunk.ids_in(0..n).len(), chunk.num_ids());
+    assert_eq!(
+        (chunk.min_key(), chunk.max_key()),
+        (chunk.postings(0..1).next().unwrap().0, last_key.unwrap())
+    );
+}
+
+/// Every chunk id `source` holds, per dimension, with each decoded chunk's
+/// key bounds.
+fn catalog_of(source: &MemChunkSource) -> Vec<Vec<(ChunkId, f64, f64)>> {
+    (0..source.dims() as u32)
+        .map(|d| {
+            (0..)
+                .map(|seq| ChunkId::new(d, seq))
+                .map_while(|id| source.read_chunk(id).ok())
+                .map(|c| (c.id, c.min_key(), c.max_key()))
+                .collect()
+        })
+        .collect()
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn posting_roundtrip(posting in posting_strategy()) {
-        let mut w = uei_types::codec::Writer::new();
-        posting.encode(&mut w).unwrap();
-        let bytes = w.into_bytes();
-        let got = PostingList::decode(&mut uei_types::codec::Reader::new(&bytes)).unwrap();
-        prop_assert_eq!(got, posting);
-    }
-
-    #[test]
     fn chunk_roundtrip_and_corruption_detected(chunk in chunk_strategy(), flip in any::<usize>()) {
-        let bytes = chunk.encode().unwrap();
+        assert_chunk_invariants(&chunk);
+        let bytes = chunk.encode();
         let got = Chunk::decode(&bytes).unwrap();
         prop_assert_eq!(&got, &chunk);
         // Any single bit flip is caught by the CRC.
@@ -82,6 +108,42 @@ proptest! {
         let pos = flip % corrupted.len();
         corrupted[pos] ^= 1;
         prop_assert!(Chunk::decode(&corrupted).is_err(), "flip at {} undetected", pos);
+    }
+
+    /// Hostile bytes that *pass* the CRC: body bytes mutated and the payload
+    /// truncated or extended, with the trailer re-stamped, so decode's
+    /// structural checks — not the checksum — are what stand between the
+    /// bytes and the merge. Decode must return a chunk that holds every
+    /// invariant or a typed `Corrupt`, and never panic.
+    #[test]
+    fn decode_is_total_on_mutated_bytes_with_a_valid_crc(
+        chunk in chunk_strategy(),
+        edits in proptest::collection::vec((any::<usize>(), 1u8..=255), 1..9),
+        resize in 0u8..3,
+        amount in 1usize..24,
+        filler in any::<u8>(),
+    ) {
+        let mut body = chunk.encode();
+        body.truncate(body.len() - 4);
+        for (at, xor) in edits {
+            let at = at % body.len();
+            body[at] ^= xor;
+        }
+        match resize {
+            1 => body.truncate(body.len().saturating_sub(amount)),
+            2 => body.extend(std::iter::repeat_n(filler, amount)),
+            _ => {}
+        }
+        let crc = crc32(&body);
+        body.extend_from_slice(&crc.to_le_bytes());
+        match Chunk::decode(&body) {
+            Ok(decoded) => {
+                assert_chunk_invariants(&decoded);
+                prop_assert_eq!(Chunk::decode(&decoded.encode()).unwrap(), decoded);
+            }
+            Err(UeiError::Corrupt { .. }) => {}
+            Err(other) => prop_assert!(false, "expected Corrupt, got {:?}", other),
+        }
     }
 
     #[test]
@@ -126,6 +188,149 @@ proptest! {
             prop_assert_eq!(p, &rows[p.id.as_usize()]);
         }
             }
+
+    /// The merge against an independent model, over the shapes that matter
+    /// to a bitmap intersection: long posting lists (quantised dimensions)
+    /// beside one-id lists (continuous ones), bounds that land exactly on
+    /// stored values, regions empty in dimension 0 / empty in a later
+    /// dimension / covering everything, with and without a previous
+    /// region's chunk set. Checks the rows (ascending ids, bit-equal
+    /// values), every counter the ledger reads, and the exact sequence of
+    /// chunk ids handed to `fetch` — the thing modeled I/O depends on.
+    #[test]
+    fn merge_matches_model_in_rows_counters_and_fetch_schedule(
+        dims in 1usize..9,
+        n in 50usize..2001,
+        seed in any::<u64>(),
+        chunk_bytes in 128usize..4096,
+        closed in any::<bool>(),
+        kind in 0u8..4,
+        with_prev in any::<bool>(),
+    ) {
+        let mut rng = Rng::new(seed);
+        // Per dimension: quantised to 4–64 levels, or continuous.
+        let steps: Vec<Option<f64>> = (0..dims)
+            .map(|_| rng.bool(0.5).then(|| 100.0 / (4 + rng.below(61)) as f64))
+            .collect();
+        let mut ids: Vec<u64> = (0..n as u64).collect();
+        rng.shuffle(&mut ids);
+        let rows: Vec<DataPoint> = ids
+            .iter()
+            .map(|&id| {
+                let values = steps
+                    .iter()
+                    .map(|step| match step {
+                        Some(step) => (rng.range_f64(0.0, 100.0) / step).floor() * step,
+                        None => rng.range_f64(0.0, 100.0),
+                    })
+                    .collect();
+                DataPoint::new(id, values)
+            })
+            .collect();
+        let schema = Schema::new(
+            (0..dims).map(|d| AttributeDef::new(format!("d{d}"), 0.0, 100.0).unwrap()).collect(),
+        ).unwrap();
+        let source = MemChunkSource::from_rows(
+            schema, &rows, chunk_bytes, DiskTracker::new(IoProfile::instant())).unwrap();
+        let catalog = catalog_of(&source);
+
+        // A box whose bounds sit on stored values half the time, so closed
+        // and half-open regions differ.
+        let random_region = |rng: &mut Rng| {
+            let (lo, hi): (Vec<f64>, Vec<f64>) = steps
+                .iter()
+                .map(|step| {
+                    let lo = rng.range_f64(0.0, 90.0);
+                    let hi = lo + rng.range_f64(5.0, 60.0);
+                    match step {
+                        Some(step) if rng.bool(0.5) => ((lo / step).floor() * step, (hi / step).ceil() * step),
+                        _ => (lo, hi),
+                    }
+                })
+                .unzip();
+            (lo, hi)
+        };
+        let (mut lo, mut hi) = random_region(&mut rng);
+        match kind {
+            1 => (lo[0], hi[0]) = (200.0, 300.0),
+            2 => {
+                let d = rng.below_usize(dims).max(dims.min(2) - 1);
+                (lo[d], hi[d]) = (200.0, 300.0);
+            }
+            3 => (lo, hi) = (vec![-1.0; dims], vec![101.0; dims]),
+            _ => {}
+        }
+        let region = if closed { Region::closed(lo, hi) } else { Region::new(lo, hi) }.unwrap();
+        let chunks_for = |region: &Region| -> Vec<Vec<ChunkId>> {
+            catalog
+                .iter()
+                .enumerate()
+                .map(|(d, chunks)| {
+                    chunks
+                        .iter()
+                        .filter(|&&(_, min, max)| max >= region.lo[d] && min <= region.hi[d])
+                        .map(|&(id, ..)| id)
+                        .collect()
+                })
+                .collect()
+        };
+        let chunks = chunks_for(&region);
+
+        let prev = with_prev.then(|| {
+            let (lo, hi) = random_region(&mut rng);
+            let prev_region = Region::new(lo, hi).unwrap();
+            let (_, _, set) = reconstruct_region(
+                &source, &prev_region, &chunks_for(&prev_region), None,
+                &mut |id| source.read_chunk(id).map(Arc::new)).unwrap();
+            set
+        });
+
+        let mut fetched: Vec<ChunkId> = Vec::new();
+        let (got, stats, set) = reconstruct_region(
+            &source, &region, &chunks, prev.as_ref(),
+            &mut |id| { fetched.push(id); source.read_chunk(id).map(Arc::new) }).unwrap();
+
+        // Rows: the brute-force filter, ascending by id, values bit-equal.
+        let mut expect: Vec<&DataPoint> =
+            rows.iter().filter(|p| region.contains(&p.values).unwrap()).collect();
+        expect.sort_unstable_by_key(|p| p.id);
+        prop_assert_eq!(got.len(), expect.len());
+        for (g, e) in got.iter().zip(&expect) {
+            prop_assert_eq!(g.id, e.id);
+            let bits = |p: &DataPoint| p.values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(g), bits(e));
+        }
+        prop_assert_eq!(stats.result_rows as usize, expect.len());
+
+        // Counters: an independent count from the rows.
+        let in_range = |d: usize, v: f64| v >= region.lo[d] && (v < region.hi[d] || (closed && v == region.hi[d]));
+        let seed_ids = rows.iter().filter(|p| in_range(0, p.values[0])).count();
+        prop_assert_eq!(stats.seed_candidates as usize, seed_ids);
+        let dims_visited = if seed_ids == 0 { 1 } else { dims };
+        let entries: usize = (0..dims_visited)
+            .map(|d| {
+                rows.iter()
+                    .map(|p| p.values[d])
+                    .filter(|&v| in_range(d, v))
+                    .map(f64::to_bits)
+                    .collect::<BTreeSet<u64>>()
+                    .len()
+            })
+            .sum();
+        prop_assert_eq!(stats.entries_matched as usize, entries);
+
+        // Fetch schedule: the caller's lists flattened in dimension order,
+        // minus what `prev` holds, cut after dimension 0 exactly when it
+        // seeds nothing.
+        let scheduled: Vec<ChunkId> = chunks[..dims_visited].iter().flatten().copied().collect();
+        let (reused, fresh): (Vec<ChunkId>, Vec<ChunkId>) =
+            scheduled.iter().partition(|&&id| prev.as_ref().is_some_and(|p| p.contains(id)));
+        prop_assert_eq!(&fetched, &fresh);
+        prop_assert_eq!(stats.chunks_loaded as usize, fresh.len());
+        prop_assert_eq!(stats.chunks_reused as usize, reused.len());
+        prop_assert_eq!(set.len(), scheduled.len());
+        prop_assert!(scheduled.iter().all(|&id| set.contains(id)));
+    }
 
     /// Every way a caller fetches — plain read+decode, the shared
     /// concurrent cache, a session's ghost-ledger view — with and without

@@ -7,7 +7,8 @@
 //!
 //! Posting lists additionally use LEB128 varints with delta encoding
 //! (row ids are appended in ascending order), which is what makes the
-//! paper's `<key, {values}>` inverted layout compact on disk.
+//! paper's `<key, {values}>` inverted layout compact on disk; the chunk
+//! codec that does so lives in `uei-storage`.
 
 use crate::error::{Result, UeiError};
 
@@ -42,6 +43,7 @@ impl<'a> Reader<'a> {
         self.remaining() == 0
     }
 
+    #[inline]
     fn take(&mut self, n: usize) -> Result<&'a [u8]> {
         if self.remaining() < n {
             return Err(UeiError::corrupt(format!(
@@ -56,6 +58,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Reads one byte.
+    #[inline]
     pub fn read_u8(&mut self) -> Result<u8> {
         Ok(self.take(1)?[0])
     }
@@ -73,12 +76,14 @@ impl<'a> Reader<'a> {
     }
 
     /// Reads a little-endian `u64`.
+    #[inline]
     pub fn read_u64(&mut self) -> Result<u64> {
         let b = self.take(8)?;
         Ok(u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]))
     }
 
     /// Reads a little-endian IEEE-754 `f64`.
+    #[inline]
     pub fn read_f64(&mut self) -> Result<f64> {
         Ok(f64::from_bits(self.read_u64()?))
     }
@@ -89,7 +94,19 @@ impl<'a> Reader<'a> {
     }
 
     /// Reads an LEB128-encoded unsigned varint (at most 10 bytes).
+    #[inline]
     pub fn read_varint(&mut self) -> Result<u64> {
+        // One-byte values (list lengths, small gaps) skip the loop.
+        match self.buf.get(self.pos) {
+            Some(&byte) if byte < 0x80 => {
+                self.pos += 1;
+                Ok(u64::from(byte))
+            }
+            _ => self.read_varint_multibyte(),
+        }
+    }
+
+    fn read_varint_multibyte(&mut self) -> Result<u64> {
         let mut result: u64 = 0;
         let mut shift = 0u32;
         loop {
@@ -201,57 +218,12 @@ impl Writer {
     }
 }
 
-/// Delta-encodes a strictly ascending sequence of row ids as varints.
-///
-/// Returns an error if the sequence is not strictly ascending — the storage
-/// writer sorts posting lists before encoding, so a violation indicates a
-/// bug or corruption upstream.
-pub fn encode_ascending_ids(w: &mut Writer, ids: &[u64]) -> Result<()> {
-    w.write_varint(ids.len() as u64);
-    let mut prev: Option<u64> = None;
-    for &id in ids {
-        match prev {
-            None => w.write_varint(id),
-            Some(p) => {
-                if id <= p {
-                    return Err(UeiError::corrupt(format!(
-                        "posting list not strictly ascending: {id} after {p}"
-                    )));
-                }
-                w.write_varint(id - p);
-            }
-        }
-        prev = Some(id);
-    }
-    Ok(())
-}
-
-/// Decodes a delta-encoded ascending id sequence written by
-/// [`encode_ascending_ids`].
-pub fn decode_ascending_ids(r: &mut Reader<'_>) -> Result<Vec<u64>> {
-    let n = r.read_varint()? as usize;
-    // Guard against a corrupt length causing a huge allocation: cap the
-    // preallocation by what the remaining bytes could possibly encode
-    // (1 byte per id minimum).
-    let mut ids = Vec::with_capacity(n.min(r.remaining()));
-    let mut prev: Option<u64> = None;
-    for _ in 0..n {
-        let delta = r.read_varint()?;
-        let id = match prev {
-            None => delta,
-            Some(p) => {
-                p.checked_add(delta).ok_or_else(|| UeiError::corrupt("posting id overflow"))?
-            }
-        };
-        if let Some(p) = prev {
-            if id <= p {
-                return Err(UeiError::corrupt("decoded posting list not ascending"));
-            }
-        }
-        ids.push(id);
-        prev = Some(id);
-    }
-    Ok(ids)
+/// Encoded length in bytes of `v` as an LEB128 varint (1–10), without
+/// writing it.
+#[inline]
+pub fn varint_len(v: u64) -> usize {
+    // 7 payload bits per byte; zero still takes one byte.
+    (64 - (v | 1).leading_zeros() as usize).div_ceil(7)
 }
 
 #[cfg(test)]
@@ -329,39 +301,16 @@ mod tests {
     }
 
     #[test]
-    fn ascending_ids_round_trip() {
-        let ids = vec![0u64, 1, 2, 100, 101, 1_000_000, u64::MAX];
-        let mut w = Writer::new();
-        encode_ascending_ids(&mut w, &ids).unwrap();
-        let bytes = w.into_bytes();
-        let got = decode_ascending_ids(&mut Reader::new(&bytes)).unwrap();
-        assert_eq!(got, ids);
-    }
-
-    #[test]
-    fn ascending_ids_empty() {
-        let mut w = Writer::new();
-        encode_ascending_ids(&mut w, &[]).unwrap();
-        let bytes = w.into_bytes();
-        assert_eq!(decode_ascending_ids(&mut Reader::new(&bytes)).unwrap(), Vec::<u64>::new());
-    }
-
-    #[test]
-    fn ascending_ids_rejects_non_ascending() {
-        let mut w = Writer::new();
-        assert!(encode_ascending_ids(&mut w, &[3, 3]).is_err());
-        let mut w = Writer::new();
-        assert!(encode_ascending_ids(&mut w, &[3, 1]).is_err());
-    }
-
-    #[test]
-    fn decode_rejects_truncated_list() {
-        let ids = vec![5u64, 10, 20];
-        let mut w = Writer::new();
-        encode_ascending_ids(&mut w, &ids).unwrap();
-        let bytes = w.into_bytes();
-        let truncated = &bytes[..bytes.len() - 1];
-        assert!(decode_ascending_ids(&mut Reader::new(truncated)).is_err());
+    fn varint_len_matches_written_length() {
+        let mut values = vec![0u64, 1, u64::MAX];
+        for shift in 1..64 {
+            values.extend([(1u64 << shift) - 1, 1u64 << shift, (1u64 << shift) + 1]);
+        }
+        for v in values {
+            let mut w = Writer::new();
+            w.write_varint(v);
+            assert_eq!(varint_len(v), w.len(), "varint_len({v})");
+        }
     }
 
     #[test]

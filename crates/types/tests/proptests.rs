@@ -2,17 +2,9 @@
 //! and the deterministic RNG.
 
 use proptest::prelude::*;
-use uei_types::codec::{decode_ascending_ids, encode_ascending_ids, Reader, Writer};
+use uei_types::codec::{varint_len, Reader, Writer};
 use uei_types::stats::{percentile_sorted, Summary, Welford};
 use uei_types::{Region, Rng};
-
-fn ascending_ids() -> impl Strategy<Value = Vec<u64>> {
-    proptest::collection::vec(0u64..1_000_000, 0..200).prop_map(|mut v| {
-        v.sort_unstable();
-        v.dedup();
-        v
-    })
-}
 
 proptest! {
     #[test]
@@ -24,7 +16,9 @@ proptest! {
         let bytes = w.into_bytes();
         let mut r = Reader::new(&bytes);
         for &v in &values {
+            let before = r.position();
             prop_assert_eq!(r.read_varint().unwrap(), v);
+            prop_assert_eq!(varint_len(v), r.position() - before);
         }
         prop_assert!(r.is_empty());
     }
@@ -47,27 +41,6 @@ proptest! {
         prop_assert_eq!(r.read_u32().unwrap(), c);
         prop_assert_eq!(r.read_u64().unwrap(), d);
         prop_assert_eq!(r.read_f64().unwrap().to_bits(), e.to_bits());
-    }
-
-    #[test]
-    fn ascending_ids_roundtrip(ids in ascending_ids()) {
-        let mut w = Writer::new();
-        encode_ascending_ids(&mut w, &ids).unwrap();
-        let bytes = w.into_bytes();
-        let got = decode_ascending_ids(&mut Reader::new(&bytes)).unwrap();
-        prop_assert_eq!(got, ids);
-    }
-
-    #[test]
-    fn ascending_ids_truncation_always_errors(ids in ascending_ids()) {
-        prop_assume!(!ids.is_empty());
-        let mut w = Writer::new();
-        encode_ascending_ids(&mut w, &ids).unwrap();
-        let bytes = w.into_bytes();
-        // Any strict prefix must fail to decode (never silently succeed
-        // with wrong data of the same length).
-        let cut = bytes.len() - 1;
-        prop_assert!(decode_ascending_ids(&mut Reader::new(&bytes[..cut])).is_err());
     }
 
     #[test]

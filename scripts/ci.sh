@@ -52,4 +52,8 @@ if [[ "$fast" -eq 0 ]]; then
     ./benchmark/ci_smoke.sh
 fi
 
+# The A/B evidence script takes half an hour a seed, so CI only parses it.
+echo "==> bash -n scripts/ab_compare.sh"
+bash -n scripts/ab_compare.sh
+
 echo "CI gate passed."
