@@ -24,7 +24,7 @@ use std::sync::Arc;
 
 use uei_learn::strategy::UncertaintyMeasure;
 use uei_learn::Classifier;
-use uei_obs::{FlightEventKind, Phase, SessionTelemetry};
+use uei_obs::{Phase, SessionTelemetry};
 use uei_storage::cache::SharedChunkCache;
 use uei_storage::io::IoStats;
 use uei_storage::store::ColumnStore;
@@ -180,15 +180,8 @@ impl UeiIndex {
     pub fn update_uncertainty_incremental(&mut self, model: &dyn Classifier, added: &[&[f64]]) {
         let _span = self.telemetry.span(Phase::Rescore);
         self.rescore_passes += 1;
-        let pruned_before = self.points.shards_pruned();
         let stats = self.points.update_incremental(model, self.measure, added);
         self.rescore_stats.accumulate(stats);
-        let pruned = self.points.shards_pruned() - pruned_before;
-        if pruned > 0 {
-            self.telemetry.event(FlightEventKind::ShardPrune, self.rescore_passes, || {
-                format!("{pruned} shards pruned, {} points served from cache", stats.points_cached)
-            });
-        }
     }
 
     /// Cumulative rescoring work counters: how many index points were

@@ -17,7 +17,6 @@
 //!   exact same floating-point operations per query as its scalar path.
 
 use rayon::prelude::*;
-use uei_types::PointMatrix;
 
 /// Batches smaller than this are scored sequentially: on tiny inputs the
 /// thread fan-out costs more than the scoring itself. The value is far
@@ -70,51 +69,6 @@ where
     } else {
         xs.iter().map(|x| op(x)).collect()
     }
-}
-
-/// Maps `op` over the rows `rows` of a flat row-major [`PointMatrix`], in
-/// parallel when the range is large enough — the matrix counterpart of
-/// [`map_batch_at`] that never materializes a `Vec<&[f64]>` row-refs view.
-///
-/// `op` receives the *absolute* row index and the row slice. The range is
-/// split into contiguous sub-ranges whose outputs are concatenated in row
-/// order, so results are element-wise identical to the sequential loop at
-/// any thread count (the same guarantee [`map_batch`] documents).
-pub fn map_matrix_range_at<R, F>(
-    points: &PointMatrix,
-    rows: std::ops::Range<usize>,
-    threshold: usize,
-    op: F,
-) -> Vec<R>
-where
-    R: Send,
-    F: Fn(usize, &[f64]) -> R + Send + Sync,
-{
-    assert!(rows.start <= rows.end && rows.end <= points.len(), "row range out of bounds");
-    let n = rows.len();
-    if !should_parallelize_at(n, threshold) {
-        return rows.map(|i| op(i, points.row(i))).collect();
-    }
-    let dims = points.dims().max(1);
-    let flat = points.as_flat();
-    let per = n.div_ceil(rayon::current_num_threads()).max(1);
-    let subranges: Vec<(usize, usize)> =
-        (rows.start..rows.end).step_by(per).map(|lo| (lo, (lo + per).min(rows.end))).collect();
-    let per_seg: Vec<Vec<R>> = subranges
-        .into_par_iter()
-        .map(|(lo, hi)| {
-            flat[lo * dims..hi * dims]
-                .chunks_exact(dims)
-                .enumerate()
-                .map(|(j, row)| op(lo + j, row))
-                .collect()
-        })
-        .collect();
-    let mut out = Vec::with_capacity(n);
-    for mut seg in per_seg {
-        out.append(&mut seg);
-    }
-    out
 }
 
 /// Like [`map_batch`], but each worker carries mutable scratch state built
@@ -202,24 +156,6 @@ mod tests {
         // At or past its own cutoff the fan-out engages again (when a pool
         // exists at all).
         assert_eq!(should_parallelize_at(8192, 8192), rayon::current_num_threads() > 1);
-    }
-
-    #[test]
-    fn matrix_range_map_matches_row_loop() {
-        let rows: Vec<Vec<f64>> = (0..600).map(|i| vec![i as f64, 0.5]).collect();
-        let m = PointMatrix::from_rows(&rows).unwrap();
-        let want: Vec<f64> = (100..550).map(|i| i as f64 * 2.0 + 0.5).collect();
-        for threshold in [1, 256, usize::MAX] {
-            let got = map_matrix_range_at(&m, 100..550, threshold, |i, row| {
-                assert_eq!(row[0], i as f64);
-                row[0] * 2.0 + row[1]
-            });
-            assert_eq!(got, want, "threshold {threshold}");
-        }
-        // Empty ranges and empty matrices are fine.
-        assert!(map_matrix_range_at(&m, 10..10, 1, |_, r| r[0]).is_empty());
-        let empty = PointMatrix::new(0);
-        assert!(map_matrix_range_at(&empty, 0..0, 1, |_, r| r.len()).is_empty());
     }
 
     #[test]

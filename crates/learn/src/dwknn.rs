@@ -17,7 +17,7 @@
 
 use uei_types::{Label, PointMatrix, Result, UeiError};
 
-use crate::delta::{knn_influence_delta, knn_influence_delta_flat, ModelDelta, ScoredBatch};
+use crate::delta::{knn_influence_delta, ModelDelta, ScoredBatch};
 use crate::kdtree::{KdTree, NearestScratch};
 use crate::model::{check_two_classes, Classifier};
 
@@ -187,40 +187,14 @@ impl Classifier for Dwknn {
         ScoredBatch { probs, radii2: Some(radii2) }
     }
 
-    fn model_delta(&self, points: &[&[f64]], radii2: &[f64], added: &[&[f64]]) -> ModelDelta {
-        knn_influence_delta(points, radii2, added, self.parallel_batch_threshold())
-    }
-
-    fn model_delta_matrix(
-        &self,
-        points: &PointMatrix,
-        radii2: &[f64],
-        added: &[&[f64]],
-    ) -> ModelDelta {
-        knn_influence_delta_flat(points, radii2, added, self.parallel_batch_threshold())
-    }
-
-    fn model_delta_matrix_range(
+    fn model_delta(
         &self,
         points: &PointMatrix,
         rows: std::ops::Range<usize>,
         radii2: &[f64],
         added: &[&[f64]],
     ) -> ModelDelta {
-        crate::delta::knn_influence_delta_flat_range(
-            points,
-            rows,
-            radii2,
-            added,
-            self.parallel_batch_threshold(),
-        )
-    }
-
-    fn influence_position(&self, x: &[f64]) -> Option<Vec<f64>> {
-        // Same influence geometry as plain kNN: radii are raw-input-space
-        // k-th-neighbour distances, so the influence space is the input
-        // space and dimension mismatches map to `None`.
-        (x.len() == self.dims).then(|| x.to_vec())
+        knn_influence_delta(points, rows, radii2, added, self.parallel_batch_threshold())
     }
 
     fn training_len(&self) -> Option<usize> {
@@ -389,8 +363,9 @@ mod tests {
         let b = Dwknn::fit(3, &extended).unwrap();
 
         let added_refs: Vec<&[f64]> = vec![new_point.as_slice()];
-        let delta = b.model_delta(&refs, &radii2, &added_refs);
-        let crate::delta::ModelDelta::Dirty(mask) = delta else {
+        let matrix = PointMatrix::from_rows(&grid).unwrap();
+        let delta = b.model_delta(&matrix, 0..grid.len(), &radii2, &added_refs);
+        let ModelDelta::Dirty(mask) = delta else {
             panic!("kNN-family deltas are spatial");
         };
         let after = b.predict_proba_batch(&refs);

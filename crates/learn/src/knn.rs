@@ -6,7 +6,7 @@
 
 use uei_types::{Label, PointMatrix, Result, UeiError};
 
-use crate::delta::{knn_influence_delta, knn_influence_delta_flat, ModelDelta, ScoredBatch};
+use crate::delta::{knn_influence_delta, ModelDelta, ScoredBatch};
 use crate::kdtree::{KdTree, NearestScratch};
 use crate::model::{check_two_classes, Classifier};
 
@@ -118,40 +118,14 @@ impl Classifier for Knn {
         ScoredBatch { probs, radii2: Some(radii2) }
     }
 
-    fn model_delta(&self, points: &[&[f64]], radii2: &[f64], added: &[&[f64]]) -> ModelDelta {
-        knn_influence_delta(points, radii2, added, self.parallel_batch_threshold())
-    }
-
-    fn model_delta_matrix(
-        &self,
-        points: &PointMatrix,
-        radii2: &[f64],
-        added: &[&[f64]],
-    ) -> ModelDelta {
-        knn_influence_delta_flat(points, radii2, added, self.parallel_batch_threshold())
-    }
-
-    fn model_delta_matrix_range(
+    fn model_delta(
         &self,
         points: &PointMatrix,
         rows: std::ops::Range<usize>,
         radii2: &[f64],
         added: &[&[f64]],
     ) -> ModelDelta {
-        crate::delta::knn_influence_delta_flat_range(
-            points,
-            rows,
-            radii2,
-            added,
-            self.parallel_batch_threshold(),
-        )
-    }
-
-    fn influence_position(&self, x: &[f64]) -> Option<Vec<f64>> {
-        // Influence radii are raw-input-space k-th-neighbour distances, so
-        // the influence space is the input space itself. Inputs the delta
-        // path would reject (wrong dimensionality) map to `None`.
-        (x.len() == self.dims).then(|| x.to_vec())
+        knn_influence_delta(points, rows, radii2, added, self.parallel_batch_threshold())
     }
 
     fn training_len(&self) -> Option<usize> {
@@ -226,18 +200,9 @@ mod tests {
         let far = [vec![100.0, 100.0]];
         let far_refs: Vec<&[f64]> = far.iter().map(|p| p.as_slice()).collect();
         let tracked = model.predict_proba_batch_tracked(&refs);
-        let delta = model.model_delta(&refs, tracked.radii2.as_ref().unwrap(), &far_refs);
-        assert_eq!(delta.dirty_count(refs.len()), 0);
-    }
-
-    #[test]
-    fn influence_position_is_the_identity() {
-        let model = Knn::fit(3, &examples()).unwrap();
-        // Radii are raw-input-space distances, so the influence space is
-        // the input space itself…
-        assert_eq!(model.influence_position(&[2.5, 2.5]), Some(vec![2.5, 2.5]));
-        // …and inputs the delta path would reject have no position.
-        assert!(model.influence_position(&[2.5]).is_none());
+        let matrix = PointMatrix::from_rows(&queries).unwrap();
+        let delta = model.model_delta(&matrix, 0..3, tracked.radii2.as_ref().unwrap(), &far_refs);
+        assert_eq!(delta, ModelDelta::Dirty(vec![false; 3]));
     }
 
     #[test]

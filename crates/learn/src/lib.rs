@@ -48,15 +48,12 @@ pub mod strategy;
 pub mod svm;
 
 pub use batch::{
-    map_batch, map_batch_at, map_batch_with, map_batch_with_at, map_matrix_range_at,
-    should_parallelize, should_parallelize_at, PARALLEL_THRESHOLD,
+    map_batch, map_batch_at, map_batch_with, map_batch_with_at, should_parallelize,
+    should_parallelize_at, PARALLEL_THRESHOLD,
 };
 pub use committee::Committee;
 pub use dataset::{LabeledSet, UnlabeledPool};
-pub use delta::{
-    knn_influence_delta, knn_influence_delta_flat, knn_influence_delta_flat_range, ModelDelta,
-    ScoredBatch,
-};
+pub use delta::{knn_influence_delta, ModelDelta, ScoredBatch};
 pub use dwknn::Dwknn;
 pub use kdtree::{KdTree, NearestScratch};
 pub use knn::Knn;

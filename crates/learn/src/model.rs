@@ -6,6 +6,8 @@
 //! [`Classifier`] trait captures exactly what both need: a posterior
 //! `P(positive | x)` for binary labels.
 
+use std::ops::Range;
+
 use uei_types::{Label, PointMatrix, Result, UeiError};
 
 use crate::delta::{ModelDelta, ScoredBatch};
@@ -45,86 +47,30 @@ pub trait Classifier: Send + Sync {
         ScoredBatch { probs: self.predict_proba_batch(xs), radii2: None }
     }
 
-    /// Which of `points`'s cached scores this model may score differently
-    /// than the predecessor model it extends by the `added` training
-    /// examples.
+    /// Which cached scores of the rows `rows` of `points` this model may
+    /// score differently than the predecessor model it extends by the
+    /// `added` training examples.
     ///
-    /// `radii2` are the influence radii the *previous* scoring pass
-    /// captured via [`Self::predict_proba_batch_tracked`] (same length and
-    /// order as `points`). The contract: a point reported clean must
-    /// produce a bit-identical posterior under `self`. The default is the
-    /// conservative [`ModelDelta::Global`] — correct for every model,
-    /// incremental for none; the kNN family overrides it with the strict
-    /// influence-ball test of [`crate::delta::knn_influence_delta`].
-    fn model_delta(&self, _points: &[&[f64]], _radii2: &[f64], _added: &[&[f64]]) -> ModelDelta {
+    /// `radii2` are the influence radii of the range's rows that the
+    /// *previous* scoring pass captured via
+    /// [`Self::predict_proba_batch_tracked`] (`radii2.len() ==
+    /// rows.len()`, in row order), and the returned mask covers the range
+    /// in row order. The contract: a point reported clean must produce a
+    /// bit-identical posterior under `self`, and dirtiness is a per-point
+    /// predicate, so for any partition of `0..points.len()` into ranges the
+    /// concatenated masks are the same. A range outside the matrix or a
+    /// radii length mismatch gives [`ModelDelta::Global`]. The default is
+    /// that conservative `Global` — correct for every model, incremental
+    /// for none; the kNN family overrides it with the strict influence-ball
+    /// test of [`crate::delta::knn_influence_delta`].
+    fn model_delta(
+        &self,
+        _points: &PointMatrix,
+        _rows: Range<usize>,
+        _radii2: &[f64],
+        _added: &[&[f64]],
+    ) -> ModelDelta {
         ModelDelta::Global
-    }
-
-    /// [`Self::model_delta`] over a flat row-major point matrix — the form
-    /// the index-point rescoring path uses, so the hot loop never
-    /// materializes a `Vec<Vec<f64>>`.
-    ///
-    /// Must return the exact same delta as
-    /// `self.model_delta(&points.row_refs(), …)` — the default does
-    /// literally that, and the kNN family overrides it with a blocked sweep
-    /// over the contiguous storage
-    /// ([`crate::delta::knn_influence_delta_flat`]).
-    fn model_delta_matrix(
-        &self,
-        points: &PointMatrix,
-        radii2: &[f64],
-        added: &[&[f64]],
-    ) -> ModelDelta {
-        let refs = points.row_refs();
-        self.model_delta(&refs, radii2, added)
-    }
-
-    /// [`Self::model_delta_matrix`] restricted to the row range `rows` —
-    /// the shard-local form the partitioned index-point plane calls once
-    /// per shard, in parallel, so each new example's influence ball is
-    /// mapped onto exactly the shards it intersects.
-    ///
-    /// `radii2` holds the radii of the range only (`radii2.len() ==
-    /// rows.len()`) and the returned mask covers the range in row order.
-    /// The contract: for any partition of `0..points.len()` into ranges,
-    /// the concatenation of the range masks must equal
-    /// `self.model_delta_matrix(points, …)` — dirtiness is a per-point
-    /// predicate and must not depend on where shard boundaries fall. The
-    /// default materializes the range's row-refs view and delegates to
-    /// [`Self::model_delta`]; the kNN family overrides it with the blocked
-    /// [`crate::delta::knn_influence_delta_flat_range`] sweep.
-    fn model_delta_matrix_range(
-        &self,
-        points: &PointMatrix,
-        rows: std::ops::Range<usize>,
-        radii2: &[f64],
-        added: &[&[f64]],
-    ) -> ModelDelta {
-        if rows.start > rows.end || rows.end > points.len() {
-            return ModelDelta::Global;
-        }
-        let refs: Vec<&[f64]> = rows.map(|i| points.row(i)).collect();
-        self.model_delta(&refs, radii2, added)
-    }
-
-    /// The image of `x` in the model's *influence space* — the space its
-    /// reported influence radii ([`ScoredBatch::radii2`]) measure
-    /// distances in — or `None` when the model has no spatial locality
-    /// structure or cannot map this input.
-    ///
-    /// The contract mirrors [`Self::model_delta`]: whenever a query `p`
-    /// and an added example `a` both map to `Some` position, and the
-    /// squared Euclidean distance between those positions is at least the
-    /// finite radius `r2` that [`Self::predict_proba_batch_tracked`]
-    /// reported for `p`, the delta must report `p` clean with respect to
-    /// `a`. Callers use this for conservative geometric pre-filtering (the
-    /// sharded index plane skips whole shards that no influence ball can
-    /// reach); returning `None` merely disables that pruning, so the
-    /// default is always sound. Implementations must return `None` for
-    /// inputs the delta path would refuse (wrong dimensionality,
-    /// untransformable rows) rather than guess.
-    fn influence_position(&self, _x: &[f64]) -> Option<Vec<f64>> {
-        None
     }
 
     /// Number of training examples this model was fitted on, in fit order,
@@ -182,28 +128,14 @@ impl<C: Classifier + ?Sized> Classifier for Box<C> {
     fn predict_proba_batch_tracked(&self, xs: &[&[f64]]) -> ScoredBatch {
         (**self).predict_proba_batch_tracked(xs)
     }
-    fn model_delta(&self, points: &[&[f64]], radii2: &[f64], added: &[&[f64]]) -> ModelDelta {
-        (**self).model_delta(points, radii2, added)
-    }
-    fn model_delta_matrix(
+    fn model_delta(
         &self,
         points: &PointMatrix,
+        rows: Range<usize>,
         radii2: &[f64],
         added: &[&[f64]],
     ) -> ModelDelta {
-        (**self).model_delta_matrix(points, radii2, added)
-    }
-    fn model_delta_matrix_range(
-        &self,
-        points: &PointMatrix,
-        rows: std::ops::Range<usize>,
-        radii2: &[f64],
-        added: &[&[f64]],
-    ) -> ModelDelta {
-        (**self).model_delta_matrix_range(points, rows, radii2, added)
-    }
-    fn influence_position(&self, x: &[f64]) -> Option<Vec<f64>> {
-        (**self).influence_position(x)
+        (**self).model_delta(points, rows, radii2, added)
     }
     fn training_len(&self) -> Option<usize> {
         (**self).training_len()
@@ -360,13 +292,11 @@ mod tests {
         assert!(tracked.radii2.is_none(), "a global model reports no influence radii");
         // Without radii the delta must be invalidate-all, no matter what
         // was (or wasn't) added.
-        assert_eq!(model.model_delta(&xs, &[], &[]), crate::delta::ModelDelta::Global);
+        let points = PointMatrix::from_rows(&[x]).unwrap();
+        assert_eq!(model.model_delta(&points, 0..1, &[1.0], &[]), crate::delta::ModelDelta::Global);
         let boxed: Box<dyn Classifier> = Box::new(Constant(0.3));
-        assert_eq!(boxed.model_delta(&xs, &[], &xs), crate::delta::ModelDelta::Global);
+        assert_eq!(boxed.model_delta(&points, 0..1, &[1.0], &xs), crate::delta::ModelDelta::Global);
         assert!(boxed.predict_proba_batch_tracked(&xs).radii2.is_none());
-        // No spatial structure, no influence space: geometric prefiltering
-        // stays disabled by default.
-        assert!(boxed.influence_position(&x).is_none());
     }
 
     fn xy(examples: &[(f64, f64, Label)]) -> Vec<(Vec<f64>, Label)> {

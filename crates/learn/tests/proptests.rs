@@ -1,14 +1,17 @@
 //! Property-based tests for the learning toolkit: kd-tree vs brute force,
-//! probability bounds for every classifier, metric identities, and the
-//! scaler.
+//! probability bounds for every classifier, metric identities, the
+//! scaler, and the model-delta contract vs a brute-force reference.
 
 use proptest::prelude::*;
 use uei_learn::kdtree::{KdTree, NearestScratch};
 use uei_learn::metrics::{set_f_measure, ConfusionMatrix};
 use uei_learn::strategy::UncertaintyMeasure;
-use uei_learn::{Classifier, Committee, EstimatorKind, MinMaxScaler, ScaledClassifier};
+use uei_learn::{
+    knn_influence_delta, Classifier, Committee, Dwknn, EstimatorKind, Knn, MinMaxScaler,
+    ModelDelta, ScaledClassifier,
+};
 use uei_types::point::squared_distance;
-use uei_types::{Label, Region};
+use uei_types::{Label, PointMatrix, Region, Rng};
 
 fn points_strategy(dims: usize) -> impl Strategy<Value = Vec<Vec<f64>>> {
     proptest::collection::vec(proptest::collection::vec(-100.0f64..100.0, dims), 1..80)
@@ -307,6 +310,180 @@ proptest! {
         let model = uei_learn::Dwknn::fit(1, &examples).unwrap();
         for (x, label) in &examples {
             prop_assert_eq!(model.predict(x), *label);
+        }
+    }
+}
+
+/// The brute-force model-delta reference: a point is dirty iff its radius
+/// is not finite or some added example lies strictly inside its ball.
+fn reference_mask(points: &[Vec<f64>], radii2: &[f64], added: &[Vec<f64>]) -> Vec<bool> {
+    points
+        .iter()
+        .zip(radii2)
+        .map(|(p, &r2)| !r2.is_finite() || added.iter().any(|a| naive_dist2(p, a) < r2))
+        .collect()
+}
+
+fn naive_dist2(a: &[f64], b: &[f64]) -> f64 {
+    let mut acc = 0.0;
+    for d in 0..a.len() {
+        acc += (a[d] - b[d]) * (a[d] - b[d]);
+    }
+    acc
+}
+
+/// `model.model_delta` over every range of `cuts`, concatenated.
+fn partitioned_mask(
+    model: &dyn Classifier,
+    points: &PointMatrix,
+    cuts: &[usize],
+    radii2: &[f64],
+    added: &[Vec<f64>],
+) -> Option<Vec<bool>> {
+    let added_refs: Vec<&[f64]> = added.iter().map(|a| a.as_slice()).collect();
+    let mut mask = Vec::with_capacity(points.len());
+    for w in cuts.windows(2) {
+        match model.model_delta(points, w[0]..w[1], &radii2[w[0]..w[1]], &added_refs) {
+            ModelDelta::Dirty(part) => mask.extend(part),
+            ModelDelta::Global => return None,
+        }
+    }
+    Some(mask)
+}
+
+fn random_point(rng: &mut Rng, dims: usize, lattice: bool) -> Vec<f64> {
+    (0..dims)
+        .map(|_| {
+            let v = rng.range_f64(-4.0, 4.0);
+            if lattice {
+                v.round()
+            } else {
+                v
+            }
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn model_delta_equals_the_brute_force_reference(
+        dims in 1usize..=8,
+        seed in any::<u64>(),
+    ) {
+        let mut rng = Rng::new(seed);
+        // Integer coordinates half the time: masses of exact distance ties.
+        let lattice = rng.bool(0.5);
+        let n = rng.range_usize(1, 2600); // spans several 1024-row blocks
+        let points: Vec<Vec<f64>> = (0..n).map(|_| random_point(&mut rng, dims, lattice)).collect();
+        let matrix = PointMatrix::from_rows(&points).unwrap();
+        let added: Vec<Vec<f64>> =
+            (0..rng.below_usize(4)).map(|_| random_point(&mut rng, dims, lattice)).collect();
+        // Radii: infinite, random, or exactly on the ball boundary of one
+        // added example (that example must then leave the point clean).
+        let mut on_boundary = vec![None; n];
+        let radii2: Vec<f64> = (0..n)
+            .map(|i| match rng.below(4) {
+                0 => f64::INFINITY,
+                1 if !added.is_empty() => {
+                    let j = rng.below_usize(added.len());
+                    on_boundary[i] = Some(j);
+                    naive_dist2(&points[i], &added[j])
+                }
+                _ => rng.range_f64(0.0, 16.0),
+            })
+            .collect();
+        let mut cuts: Vec<usize> = (0..rng.below_usize(6)).map(|_| rng.range_usize(0, n + 1)).collect();
+        cuts.extend([0, n]);
+        cuts.sort_unstable();
+        let want = reference_mask(&points, &radii2, &added);
+
+        // (i) The kNN delta over any partition equals the reference,
+        // sequentially and fanned out.
+        let added_refs: Vec<&[f64]> = added.iter().map(|a| a.as_slice()).collect();
+        for threshold in [1, usize::MAX] {
+            let mut got = Vec::with_capacity(n);
+            for w in cuts.windows(2) {
+                match knn_influence_delta(&matrix, w[0]..w[1], &radii2[w[0]..w[1]], &added_refs, threshold) {
+                    ModelDelta::Dirty(part) => got.extend(part),
+                    ModelDelta::Global => prop_assert!(false, "range {:?} went Global", w),
+                }
+            }
+            prop_assert_eq!(&got, &want, "threshold {}", threshold);
+            // A boundary example never dirties its point by itself.
+            for (i, j) in on_boundary.iter().enumerate() {
+                if let Some(j) = *j {
+                    let mut others = added.clone();
+                    others.remove(j);
+                    prop_assert_eq!(got[i], reference_mask(&points[i..=i], &radii2[i..=i], &others)[0]);
+                }
+            }
+        }
+
+        // Training data for the models: both classes, a small set so that
+        // some neighbourhoods stay unsaturated.
+        let k = rng.range_usize(1, 6);
+        let mut examples: Vec<(Vec<f64>, Label)> = (0..rng.range_usize(2, 30))
+            .map(|_| (random_point(&mut rng, dims, lattice), Label::from_bool(rng.bool(0.5))))
+            .collect();
+        examples[0].1 = Label::Positive;
+        examples[1].1 = Label::Negative;
+        let lo: Vec<f64> = (0..dims).map(|_| rng.range_f64(-5.0, 0.0)).collect();
+        let hi: Vec<f64> = lo.iter().map(|l| l + rng.range_f64(0.5, 10.0)).collect();
+        let scaler = MinMaxScaler::new(lo, hi).unwrap();
+
+        // (ii) The scaled model's mask equals its inner model's mask on the
+        // pre-scaled rows and examples.
+        let scaled_model =
+            ScaledClassifier::train(EstimatorKind::Dwknn { k }, scaler.clone(), &examples).unwrap();
+        let scaled_examples: Vec<(Vec<f64>, Label)> =
+            examples.iter().map(|(x, l)| (scaler.transform(x).unwrap(), *l)).collect();
+        let inner = EstimatorKind::Dwknn { k }.train(&scaled_examples).unwrap();
+        let scaled_points: Vec<Vec<f64>> = points.iter().map(|p| scaler.transform(p).unwrap()).collect();
+        let scaled_added: Vec<Vec<f64>> = added.iter().map(|a| scaler.transform(a).unwrap()).collect();
+        let via_wrapper = partitioned_mask(&scaled_model, &matrix, &cuts, &radii2, &added);
+        let via_inner = partitioned_mask(
+            inner.as_ref(),
+            &PointMatrix::from_rows(&scaled_points).unwrap(),
+            &cuts,
+            &radii2,
+            &scaled_added,
+        );
+        prop_assert!(via_inner.is_some());
+        prop_assert_eq!(via_wrapper, via_inner);
+
+        // (iii) Append one example: every point reported clean scores
+        // bit-identically under the extended model.
+        let appended = (random_point(&mut rng, dims, lattice), Label::from_bool(rng.bool(0.5)));
+        let mut extended = examples.clone();
+        extended.push(appended.clone());
+        type Fit = fn(usize, &[(Vec<f64>, Label)], &MinMaxScaler) -> Box<dyn Classifier>;
+        let fits: [(&str, Fit); 3] = [
+            ("knn", |k, ex, _| Box::new(Knn::fit(k, ex).unwrap())),
+            ("dwknn", |k, ex, _| Box::new(Dwknn::fit(k, ex).unwrap())),
+            ("scaled-dwknn", |k, ex, s| {
+                Box::new(ScaledClassifier::train(EstimatorKind::Dwknn { k }, s.clone(), ex).unwrap())
+            }),
+        ];
+        let refs = matrix.row_refs();
+        for (name, fit) in fits {
+            let before = fit(k, &examples, &scaler).predict_proba_batch_tracked(&refs);
+            let radii2 = before.radii2.expect("kNN-family models report radii");
+            let after_model = fit(k, &extended, &scaler);
+            let mask = partitioned_mask(
+                after_model.as_ref(), &matrix, &cuts, &radii2, std::slice::from_ref(&appended.0),
+            );
+            prop_assert!(mask.is_some(), "{}: Global delta", name);
+            let after = after_model.predict_proba_batch(&refs);
+            for (i, dirty) in mask.unwrap().into_iter().enumerate() {
+                if !dirty {
+                    prop_assert_eq!(
+                        before.probs[i].to_bits(), after[i].to_bits(),
+                        "{}: clean point {} changed score", name, i
+                    );
+                }
+            }
         }
     }
 }

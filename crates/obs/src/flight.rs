@@ -29,8 +29,6 @@ pub enum FlightEventKind {
     DegradedIteration,
     /// A synchronous load exceeded the σ deadline.
     SigmaDeadlineMiss,
-    /// The incremental-rescore locality prune skipped shard sweeps.
-    ShardPrune,
     /// The write-ahead journal rotated to a fresh segment.
     JournalRotation,
     /// A journal snapshot was published (older segments collected).

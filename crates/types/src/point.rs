@@ -267,7 +267,7 @@ impl PointMatrix {
     }
 
     /// One `&[f64]` per row — the borrowed form the batch-scoring APIs
-    /// (`predict_proba_batch`, `model_delta`) take.
+    /// (`predict_proba_batch`) take.
     pub fn row_refs(&self) -> Vec<&[f64]> {
         self.rows().collect()
     }
