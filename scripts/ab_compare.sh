@@ -5,12 +5,14 @@
 # run sets go through the benchmark's own `compare`.
 #
 #   scripts/ab_compare.sh <parent-ref> [workload ...]   (default: every workload)
-#   RUNS=10 SEED=1 OUT=target/ab METRIC=response_wall_ms_p50 scripts/ab_compare.sh HEAD~1 paper_cold
+#   RUNS=10 SEED=1 OUT=target/ab METRIC=response_wall_ms_p50,iterations_per_s scripts/ab_compare.sh HEAD~1 paper_cold
 #
 # The change is the working tree as it stands; the parent is an export of
-# <parent-ref> under $OUT/parent, removed on exit. Every run of METRIC (a
-# lower-is-better metric) lands in $OUT/pairs.tsv and is printed, with the
-# count of pairs the change won, before the compare table.
+# <parent-ref> under $OUT/parent, removed on exit. METRIC is a comma-separated
+# list of end-to-end metrics; each one's direction (lower or higher is
+# better) comes from BENCHMARK.json. Every run of every listed metric lands
+# in $OUT/pairs.tsv and is printed, per metric and workload, with the count
+# of pairs in which the change was better, before the compare table.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 if [ "$#" -lt 1 ]; then
@@ -19,7 +21,22 @@ if [ "$#" -lt 1 ]; then
 fi
 parent_ref="$1"
 shift
-runs="${RUNS:-10}" seed="${SEED:-1}" out="${OUT:-target/ab}" metric="${METRIC:-response_wall_ms_p50}"
+runs="${RUNS:-10}" seed="${SEED:-1}" out="${OUT:-target/ab}"
+metrics="${METRIC:-response_wall_ms_p50,iterations_per_s,session_wall_s}"
+
+# "name better" for every end-to-end metric of BENCHMARK.json.
+directions="$(awk '
+  /"end_to_end"/ { on = 1 } /"per_layer"/ { on = 0 }
+  on && $1 == "\"name\":" { gsub(/[",]/, "", $2); name = $2 }
+  on && $1 == "\"better\":" { gsub(/[",]/, "", $2); print name, $2 }
+' BENCHMARK.json)"
+IFS=, read -r -a metric_list <<< "$metrics"
+for m in "${metric_list[@]}"; do
+  if ! grep -q "^$m " <<< "$directions"; then
+    echo "ab_compare: $m is not an end-to-end metric of BENCHMARK.json" >&2
+    exit 2
+  fi
+done
 
 mkdir -p "$out"
 out="$(cd "$out" && pwd)"
@@ -46,7 +63,9 @@ rm -f "$out/a.json" "$out/b.json" "$out/pairs.tsv"
 one_run() { # side workload pair
   local bin="bin_$1"
   "${!bin}" run --workload "$2" --seed "$seed" --out "$out/$1.json" |
-    awk -v m="$metric" -v s="$1" -v w="$2" -v p="$3" '$1 == m { print p "\t" w "\t" s "\t" $2 }' >> "$out/pairs.tsv"
+    awk -v ms="$metrics" -v s="$1" -v w="$2" -v p="$3" '
+      BEGIN { n = split(ms, list, ","); for (i = 1; i <= n; i++) want[list[i]] }
+      $1 in want { print p "\t" w "\t" $1 "\t" s "\t" $2 }' >> "$out/pairs.tsv"
 }
 for i in $(seq "$runs"); do
   if [ $((i % 2)) -eq 1 ]; then order=(a b); else order=(b a); fi
@@ -58,18 +77,23 @@ for i in $(seq "$runs"); do
   echo "pair $i of $runs done (${order[*]})" >&2
 done
 
-echo "== every run of $metric (a = $parent_ref, b = working tree), seed $seed =="
-sort -k2,2 -k1,1n -k3,3 "$out/pairs.tsv" | awk -F'\t' '
-  { v[$2, $1, $3] = $4; if (!($2 in seen)) { seen[$2]; names[++n] = $2 } if ($1 > pairs) pairs = $1 }
-  END {
-    for (k = 1; k <= n; k++) {
-      w = names[k]; wins = 0
-      printf "%-16s", w
-      for (p = 1; p <= pairs; p++) {
-        printf "  %s/%s", v[w, p, "a"], v[w, p, "b"]
-        if (v[w, p, "b"] + 0 < v[w, p, "a"] + 0) wins++
+for m in "${metric_list[@]}"; do
+  better="$(awk -v m="$m" '$1 == m { print $2 }' <<< "$directions")"
+  echo "== every run of $m ($better is better; a = $parent_ref, b = working tree), seed $seed =="
+  awk -F'\t' -v m="$m" -v better="$better" '
+    $3 != m { next }
+    { v[$2, $1, $4] = $5; if (!($2 in seen)) { seen[$2]; names[++n] = $2 } if ($1 > pairs) pairs = $1 }
+    END {
+      for (k = 1; k <= n; k++) {
+        w = names[k]; wins = 0
+        printf "%-16s", w
+        for (p = 1; p <= pairs; p++) {
+          a = v[w, p, "a"]; b = v[w, p, "b"]
+          printf "  %s/%s", a, b
+          if (better == "lower" ? b + 0 < a + 0 : b + 0 > a + 0) wins++
+        }
+        printf "   change better in %d of %d pairs\n", wins, pairs
       }
-      printf "   change lower in %d of %d pairs\n", wins, pairs
-    }
-  }'
+    }' "$out/pairs.tsv"
+done
 "$bin_b" compare "$out/a.json" "$out/b.json"
