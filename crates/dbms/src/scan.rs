@@ -166,7 +166,7 @@ mod tests {
         let xs: Vec<f64> = (0..5000).map(|i| (i % 100) as f64).collect();
         let (table, tracker, dir) = build("reread", &xs);
         let examples = vec![(vec![10.0], Label::Negative), (vec![90.0], Label::Positive)];
-        let model = uei_learn::Dwknn::fit(1, &examples).unwrap();
+        let model = uei_learn::Knn::fit(1, uei_learn::Weighting::Dual, &examples).unwrap();
         let mut pool = BufferPool::new(1, tracker.clone()).unwrap();
         for _ in 0..3 {
             let before = tracker.snapshot();

@@ -655,7 +655,7 @@ mod tests {
 
     #[test]
     fn incremental_rescore_is_bit_identical_and_skips_work() {
-        use uei_learn::Dwknn;
+        use uei_learn::{Knn, Weighting};
         use uei_types::Label;
         // Training points spread across the 0..3 domain so every index
         // point has a saturated (finite-radius) neighbourhood.
@@ -667,7 +667,7 @@ mod tests {
             }
         }
         let grid = grid3();
-        let model_a = Dwknn::fit(3, &examples).unwrap();
+        let model_a = Knn::fit(3, Weighting::Dual, &examples).unwrap();
         let mut inc = IndexPoints::from_grid_with_shards(&grid, 3).unwrap();
         inc.update_tracked(&model_a, UncertaintyMeasure::LeastConfidence);
         let v0 = inc.model_version();
@@ -677,7 +677,7 @@ mod tests {
         let new_point = vec![0.1, 0.1];
         let mut extended = examples.clone();
         extended.push((new_point.clone(), Label::Positive));
-        let model_b = Dwknn::fit(3, &extended).unwrap();
+        let model_b = Knn::fit(3, Weighting::Dual, &extended).unwrap();
         let added_refs: Vec<&[f64]> = vec![new_point.as_slice()];
         let stats =
             inc.update_incremental(&model_b, UncertaintyMeasure::LeastConfidence, &added_refs);
@@ -720,7 +720,7 @@ mod tests {
 
     #[test]
     fn long_incremental_sessions_stay_exact_with_no_forced_full_pass() {
-        use uei_learn::Dwknn;
+        use uei_learn::{Knn, Weighting};
         use uei_types::{Label, Rng};
         let schema = Schema::new(vec![
             AttributeDef::new("x", 0.0, 3.0).unwrap(),
@@ -733,7 +733,7 @@ mod tests {
             .iter()
             .map(|p| (p.to_vec(), teacher(p)))
             .collect();
-        let mut model = Dwknn::fit(3, &examples).unwrap();
+        let mut model = Knn::fit(3, Weighting::Dual, &examples).unwrap();
         let mut inc = IndexPoints::from_grid_with_shards(&grid, 3).unwrap();
         inc.update_tracked(&model, UncertaintyMeasure::LeastConfidence);
         let mut rng = Rng::new(0x5EED);
@@ -746,7 +746,7 @@ mod tests {
                 let p = vec![rng.range_f64(0.0, 3.0), rng.range_f64(0.0, 3.0)];
                 let label = teacher(&p);
                 examples.push((p, label));
-                model = Dwknn::fit(3, &examples).unwrap();
+                model = Knn::fit(3, Weighting::Dual, &examples).unwrap();
             }
             let added: Vec<&[f64]> = examples[from..].iter().map(|(p, _)| p.as_slice()).collect();
             let stats = inc.update_incremental(&model, UncertaintyMeasure::LeastConfidence, &added);
@@ -767,14 +767,14 @@ mod tests {
 
     #[test]
     fn clean_incremental_pass_touches_no_shards() {
-        use uei_learn::Dwknn;
+        use uei_learn::{Knn, Weighting};
         use uei_types::Label;
         let mut examples = Vec::new();
         for i in 0..12 {
             let p = vec![(i % 4) as f64 * 0.9 + 0.2, (i / 4) as f64 * 1.1 + 0.3];
             examples.push((p, Label::from_bool(i % 2 == 0)));
         }
-        let model = Dwknn::fit(3, &examples).unwrap();
+        let model = Knn::fit(3, Weighting::Dual, &examples).unwrap();
         let grid = grid3();
         let mut points = IndexPoints::from_grid_with_shards(&grid, 3).unwrap();
         points.update_tracked(&model, UncertaintyMeasure::LeastConfidence);

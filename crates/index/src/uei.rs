@@ -293,7 +293,7 @@ mod tests {
 
     #[test]
     fn auto_sharded_session_ranks_like_the_global_reference() {
-        use uei_learn::Dwknn;
+        use uei_learn::{Knn, Weighting};
         use uei_types::Label;
         // 91² = 8281 cells: enough for the automatic sizing to shard the
         // plane, so every iteration's cached per-shard merge is checked
@@ -317,7 +317,7 @@ mod tests {
         let theta = 16;
         let mut last_added: Option<Vec<f64>> = None;
         for step in 0..6 {
-            let model = Dwknn::fit(3, &examples).unwrap();
+            let model = Knn::fit(3, Weighting::Dual, &examples).unwrap();
             let added: Vec<&[f64]> = last_added.iter().map(|p| p.as_slice()).collect();
             index.update_uncertainty_incremental(&model, &added);
             let global = index.points.ranked_top(theta).unwrap();
@@ -381,7 +381,7 @@ mod tests {
 
     #[test]
     fn incremental_rescoring_prunes_and_matches_full() {
-        use uei_learn::Dwknn;
+        use uei_learn::{Knn, Weighting};
         use uei_types::Label;
         let (store, _, _dir) = build_store("increscore", 1500);
         let mut inc = UeiIndex::build(Arc::clone(&store), small_config()).unwrap();
@@ -398,7 +398,7 @@ mod tests {
         }
         let mut last_added: Option<Vec<f64>> = None;
         for step in 0..5 {
-            let model = Dwknn::fit(3, &examples).unwrap();
+            let model = Knn::fit(3, Weighting::Dual, &examples).unwrap();
             match &last_added {
                 None => inc.update_uncertainty(&model),
                 Some(p) => {

@@ -1,7 +1,6 @@
 //! A static kd-tree for exact k-nearest-neighbour and range queries.
 //!
-//! The nearest-neighbour classifiers ([`crate::dwknn::Dwknn`],
-//! [`crate::knn::Knn`]) rebuild this tree each time the labeled set grows —
+//! The nearest-neighbour classifier ([`crate::knn::Knn`]) rebuilds this tree each time the labeled set grows —
 //! labeled sets in interactive exploration are small (hundreds of points),
 //! so a fresh balanced build is cheaper and simpler than incremental
 //! maintenance. The oracle also uses [`KdTree::range_query`] for target

@@ -77,8 +77,8 @@ pub mod prelude {
     };
     pub use uei_index::{UeiConfig, UeiIndex};
     pub use uei_learn::{
-        Classifier, Dwknn, EstimatorKind, MinMaxScaler, ScaledClassifier, UncertaintyMeasure,
-        UncertaintySampling,
+        Classifier, EstimatorKind, Knn, MinMaxScaler, ScaledClassifier, UncertaintyMeasure,
+        UncertaintySampling, Weighting,
     };
     pub use uei_storage::{ColumnStore, DiskTracker, IoProfile, StoreConfig};
     pub use uei_types::{DataPoint, Label, Region, Rng, RowId, Schema};
