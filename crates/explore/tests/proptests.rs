@@ -136,9 +136,6 @@ mod incremental_vs_full {
         fn predict_proba(&self, x: &[f64]) -> f64 {
             self.0.predict_proba(x)
         }
-        fn predict_proba_batch(&self, xs: &[&[f64]]) -> Vec<f64> {
-            self.0.predict_proba_batch(xs)
-        }
         fn predict_proba_batch_tracked(&self, xs: &[&[f64]]) -> ScoredBatch {
             self.0.predict_proba_batch_tracked(xs)
         }

@@ -170,52 +170,15 @@ impl crate::model::Classifier for ScaledClassifier {
         }
     }
 
-    fn predict_proba_batch(&self, xs: &[&[f64]]) -> Vec<f64> {
-        // Scale into one flat matrix, score the valid rows through the
-        // inner model's batch path, and splice the 0.5 fallback back in for
-        // rows of the wrong dimensionality.
-        let (matrix, valid) = self.scale_batch(xs);
-        let refs = matrix.row_refs();
-        let mut probs = self.inner.predict_proba_batch(&refs).into_iter();
-        valid
-            .iter()
-            .map(|&ok| if ok { probs.next().expect("one probability per valid row") } else { 0.5 })
-            .collect()
-    }
-
     fn predict_proba_batch_tracked(&self, xs: &[&[f64]]) -> crate::delta::ScoredBatch {
-        // Same splicing as the plain batch path, carrying the inner radii
-        // through when present: invalid rows get the 0.5 fallback with an
-        // infinite radius (always dirty), so the delta stays sound for them.
+        // Scale into one flat matrix, score the valid rows through the
+        // inner model's batch path, and splice the fallback back in for
+        // rows of the wrong dimensionality: 0.5 with an infinite radius
+        // (always dirty), so the delta stays sound for them.
         let (matrix, valid) = self.scale_batch(xs);
-        let refs = matrix.row_refs();
-        let inner = self.inner.predict_proba_batch_tracked(&refs);
-        let mut probs_it = inner.probs.into_iter();
-        let probs: Vec<f64> = valid
-            .iter()
-            .map(
-                |&ok| {
-                    if ok {
-                        probs_it.next().expect("one probability per valid row")
-                    } else {
-                        0.5
-                    }
-                },
-            )
-            .collect();
-        let radii2 = inner.radii2.map(|inner_radii| {
-            let mut radii_it = inner_radii.into_iter();
-            valid
-                .iter()
-                .map(|&ok| {
-                    if ok {
-                        radii_it.next().expect("one radius per valid row")
-                    } else {
-                        f64::INFINITY
-                    }
-                })
-                .collect()
-        });
+        let inner = self.inner.predict_proba_batch_tracked(&matrix.row_refs());
+        let probs = splice(&valid, inner.probs, 0.5);
+        let radii2 = inner.radii2.map(|radii2| splice(&valid, radii2, f64::INFINITY));
         crate::delta::ScoredBatch { probs, radii2 }
     }
 
@@ -268,6 +231,16 @@ impl crate::model::Classifier for ScaledClassifier {
     fn dims(&self) -> usize {
         self.scaler.dims()
     }
+}
+
+/// One value per row: the next of `values` for each valid row, `fallback`
+/// for each invalid one.
+fn splice(valid: &[bool], values: Vec<f64>, fallback: f64) -> Vec<f64> {
+    let mut values = values.into_iter();
+    valid
+        .iter()
+        .map(|&ok| if ok { values.next().expect("one value per valid row") } else { fallback })
+        .collect()
 }
 
 #[cfg(test)]

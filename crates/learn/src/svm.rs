@@ -139,16 +139,6 @@ impl Classifier for LinearSvm {
         self.platt.probability(self.decision_value(x))
     }
 
-    fn predict_proba_batch(&self, xs: &[&[f64]]) -> Vec<f64> {
-        // A linear model has no per-query scratch to amortize; the batch
-        // path only fans the scalar evaluation out across threads for very
-        // large pools. Going through `predict_proba` itself (rather than a
-        // duplicated closure body) keeps the per-element machine code — and
-        // therefore both the bits and the single-thread cost — identical to
-        // the sequential loop.
-        crate::batch::map_batch_at(xs, self.parallel_batch_threshold(), |x| self.predict_proba(x))
-    }
-
     /// One dot product per query is far too cheap for the generic fan-out
     /// cutoff: the scoring bench measured 0.26× at 256 points and still
     /// 0.82× at 4096, so only very large pools parallelize.
