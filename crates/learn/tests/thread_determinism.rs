@@ -1,10 +1,12 @@
-//! Batch scoring must be byte-identical regardless of how many rayon
-//! threads run it. This lives in its own integration binary because it
-//! mutates `RAYON_NUM_THREADS`, which must not race other tests'
-//! environment reads.
+//! Batch scoring and selection must be byte-identical regardless of how
+//! many rayon threads run them, for every estimator. This lives in its own
+//! integration binary because it mutates `RAYON_NUM_THREADS`, which must
+//! not race other tests' environment reads.
 
-use uei_learn::strategy::{rank_pool, select_batch, top_k_desc, UncertaintySampling};
-use uei_learn::{Classifier, EstimatorKind, QueryStrategy, UncertaintyMeasure};
+use uei_learn::{
+    should_parallelize_at, Classifier, EstimatorKind, MinMaxScaler, QueryStrategy,
+    ScaledClassifier, UncertaintySampling,
+};
 use uei_types::{DataPoint, Label};
 
 /// Deterministic pseudo-random coordinate in [-2, 2).
@@ -29,56 +31,75 @@ fn training_examples() -> Vec<(Vec<f64>, Label)> {
     examples
 }
 
-/// A pool large enough to cross `PARALLEL_THRESHOLD`, so the batch path
-/// genuinely fans out when threads > 1.
-fn pool() -> Vec<DataPoint> {
-    (0..1_000u64)
+fn models() -> Vec<(String, Box<dyn Classifier>)> {
+    let examples = training_examples();
+    let mut out: Vec<(String, Box<dyn Classifier>)> = Vec::new();
+    for kind in [
+        EstimatorKind::Dwknn { k: 3 },
+        EstimatorKind::Knn { k: 3 },
+        EstimatorKind::NaiveBayes,
+        EstimatorKind::LinearSvm { epochs: 20, lambda: 1e-2 },
+    ] {
+        out.push((kind.name().to_string(), kind.train(&examples).unwrap()));
+    }
+    let scaler = MinMaxScaler::new(vec![-2.0; 3], vec![2.0; 3]).unwrap();
+    let scaled = ScaledClassifier::train(EstimatorKind::Dwknn { k: 3 }, scaler, &examples).unwrap();
+    out.push(("scaled DWKNN".to_string(), Box::new(scaled)));
+    out
+}
+
+fn pool(n: usize) -> Vec<DataPoint> {
+    (0..n as u64)
         .map(|i| DataPoint::new(i, vec![coord(i, 10), coord(i, 11), coord(i, 12)]))
         .collect()
 }
 
+#[derive(Debug, PartialEq)]
 struct Observed {
     batch_bits: Vec<u64>,
-    ranked: Vec<(usize, f64)>,
-    top: Vec<usize>,
+    tracked_bits: Vec<u64>,
+    radii_bits: Option<Vec<u64>>,
     selected: Option<usize>,
+}
+
+fn bits(xs: &[f64]) -> Vec<u64> {
+    xs.iter().map(|x| x.to_bits()).collect()
 }
 
 fn observe(model: &dyn Classifier, pool: &[DataPoint]) -> Observed {
     let refs: Vec<&[f64]> = pool.iter().map(|p| p.values.as_slice()).collect();
-    let batch_bits = model.predict_proba_batch(&refs).iter().map(|p| p.to_bits()).collect();
-    let measure = UncertaintyMeasure::LeastConfidence;
-    let ranked = rank_pool(model, pool, measure);
-    let scores: Vec<f64> = ranked.iter().map(|&(_, s)| s).collect();
-    let top = top_k_desc(&scores, 25);
-    let mut strategy = UncertaintySampling::new(measure);
-    let selected = strategy.select(model, pool);
-    let _ = select_batch(model, pool, measure, 25).unwrap();
-    Observed { batch_bits, ranked, top, selected }
+    let tracked = model.predict_proba_batch_tracked(&refs);
+    Observed {
+        batch_bits: bits(&model.predict_proba_batch(&refs)),
+        tracked_bits: bits(&tracked.probs),
+        radii_bits: tracked.radii2.as_deref().map(bits),
+        selected: UncertaintySampling::default().select(model, pool),
+    }
 }
 
 #[test]
 fn results_identical_across_thread_counts() {
-    assert!(
-        uei_learn::should_parallelize(1_000) || rayon::current_num_threads() <= 1,
-        "pool must be large enough to trigger the parallel path"
-    );
-    let model = EstimatorKind::Dwknn { k: 3 }.train(&training_examples()).unwrap();
-    let pool = pool();
+    for (name, model) in models() {
+        // A pool past the model's own cutoff, so the batch path genuinely
+        // fans out when threads > 1.
+        let threshold = model.parallel_batch_threshold();
+        let pool = pool(threshold + threshold / 4);
 
-    std::env::set_var("RAYON_NUM_THREADS", "1");
-    let baseline = observe(model.as_ref(), &pool);
+        std::env::set_var("RAYON_NUM_THREADS", "1");
+        assert!(!should_parallelize_at(pool.len(), threshold));
+        let baseline = observe(model.as_ref(), &pool);
+        assert_eq!(baseline.tracked_bits, baseline.batch_bits, "{name}: tracked vs plain");
+        assert!(baseline.selected.is_some(), "{name}");
 
-    for threads in ["2", "3", "8"] {
-        std::env::set_var("RAYON_NUM_THREADS", threads);
-        let got = observe(model.as_ref(), &pool);
-        assert_eq!(got.batch_bits, baseline.batch_bits, "probs differ at {threads} threads");
-        for (a, b) in got.ranked.iter().zip(&baseline.ranked) {
-            assert_eq!(a.0, b.0, "rank order differs at {threads} threads");
-            assert_eq!(a.1.to_bits(), b.1.to_bits(), "rank score differs at {threads} threads");
+        for threads in ["2", "3", "8"] {
+            std::env::set_var("RAYON_NUM_THREADS", threads);
+            assert!(
+                should_parallelize_at(pool.len(), threshold),
+                "{name}: the pool must cross the model's threshold at {threads} threads"
+            );
+            let got = observe(model.as_ref(), &pool);
+            assert_eq!(got, baseline, "{name}: results differ at {threads} threads");
         }
-        assert_eq!(got.top, baseline.top, "top-k differs at {threads} threads");
-        assert_eq!(got.selected, baseline.selected, "select differs at {threads} threads");
     }
     std::env::remove_var("RAYON_NUM_THREADS");
 }
