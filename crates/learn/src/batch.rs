@@ -32,33 +32,19 @@ use rayon::prelude::*;
 /// the sequential loop when parallelized at 256 points.
 pub const PARALLEL_THRESHOLD: usize = 256;
 
-/// Whether a batch of `n` queries should be scored in parallel.
-pub fn should_parallelize(n: usize) -> bool {
-    should_parallelize_at(n, PARALLEL_THRESHOLD)
-}
-
-/// [`should_parallelize`] against an explicit per-model work-size cutoff.
+/// Whether a batch of `n` queries should be scored in parallel, against a
+/// per-model work-size cutoff.
 pub fn should_parallelize_at(n: usize, threshold: usize) -> bool {
     n >= threshold && rayon::current_num_threads() > 1
 }
 
-/// Maps `op` over `xs`, in parallel when the batch is large enough.
+/// Maps `op` over `xs`, in parallel when the batch holds at least
+/// `threshold` queries.
 ///
-/// `op` receives the query index and slice. Output order always matches
-/// input order, and `op` is applied exactly once per element either way —
-/// callers may rely on element-wise identical results across modes.
-pub fn map_batch<R, F>(xs: &[&[f64]], op: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(&[f64]) -> R + Send + Sync,
-{
-    map_batch_at(xs, PARALLEL_THRESHOLD, op)
-}
-
-/// [`map_batch`] with an explicit sequential-fallback threshold: the fan-out
-/// only engages for batches of at least `threshold` queries. Values are
-/// identical either way — the threshold trades thread overhead against
-/// per-query cost, never results.
+/// Output order always matches input order, and `op` is applied exactly
+/// once per element either way — callers may rely on element-wise
+/// identical results across modes. The threshold trades thread overhead
+/// against per-query cost, never results.
 pub fn map_batch_at<R, F>(xs: &[&[f64]], threshold: usize, op: F) -> Vec<R>
 where
     R: Send,
@@ -71,24 +57,14 @@ where
     }
 }
 
-/// Like [`map_batch`], but each worker carries mutable scratch state built
-/// by `init` — the mechanism nearest-neighbour models use to reuse kd-tree
+/// Like [`map_batch_at`], but each worker carries mutable scratch state
+/// built by `init` — the mechanism the kNN classifier uses to reuse kd-tree
 /// traversal buffers across the queries of one segment.
 ///
 /// Sequentially a single scratch serves the whole batch; in parallel each
 /// contiguous segment gets its own. Because scratch never influences the
 /// produced values (only allocation reuse), results are identical across
 /// thread counts.
-pub fn map_batch_with<S, R, I, F>(xs: &[&[f64]], init: I, op: F) -> Vec<R>
-where
-    R: Send,
-    I: Fn() -> S + Send + Sync,
-    F: Fn(&mut S, &[f64]) -> R + Send + Sync,
-{
-    map_batch_with_at(xs, PARALLEL_THRESHOLD, init, op)
-}
-
-/// [`map_batch_with`] with an explicit sequential-fallback threshold.
 pub fn map_batch_with_at<S, R, I, F>(xs: &[&[f64]], threshold: usize, init: I, op: F) -> Vec<R>
 where
     R: Send,
@@ -124,7 +100,7 @@ mod tests {
     fn map_batch_preserves_order() {
         let data: Vec<Vec<f64>> = (0..1000).map(|i| vec![i as f64]).collect();
         let refs: Vec<&[f64]> = data.iter().map(|v| v.as_slice()).collect();
-        let got = map_batch(&refs, |x| x[0] * 2.0);
+        let got = map_batch_at(&refs, PARALLEL_THRESHOLD, |x| x[0] * 2.0);
         let want: Vec<f64> = (0..1000).map(|i| i as f64 * 2.0).collect();
         assert_eq!(got, want);
     }
@@ -133,22 +109,19 @@ mod tests {
     fn map_batch_with_scratch_matches_plain() {
         let data: Vec<Vec<f64>> = (0..600).map(|i| vec![i as f64, 1.0]).collect();
         let refs: Vec<&[f64]> = data.iter().map(|v| v.as_slice()).collect();
-        let with_scratch = map_batch_with(&refs, Vec::<f64>::new, |buf, x| {
-            buf.clear();
-            buf.extend_from_slice(x);
-            buf.iter().sum::<f64>()
-        });
+        let with_scratch =
+            map_batch_with_at(&refs, PARALLEL_THRESHOLD, Vec::<f64>::new, |buf, x| {
+                buf.clear();
+                buf.extend_from_slice(x);
+                buf.iter().sum::<f64>()
+            });
         let plain: Vec<f64> = refs.iter().map(|x| x.iter().sum()).collect();
         assert_eq!(with_scratch, plain);
     }
 
     #[test]
-    fn tiny_batches_stay_sequential() {
-        assert!(!should_parallelize(PARALLEL_THRESHOLD - 1));
-    }
-
-    #[test]
     fn per_model_threshold_gates_fanout() {
+        assert!(!should_parallelize_at(PARALLEL_THRESHOLD - 1, PARALLEL_THRESHOLD));
         // A cheap model's raised cutoff keeps mid-size batches sequential
         // where the generic cutoff would have forked.
         assert!(!should_parallelize_at(1024, 8192));
@@ -159,14 +132,14 @@ mod tests {
     }
 
     #[test]
-    fn threshold_variants_match_defaults_elementwise() {
+    fn every_threshold_gives_the_sequential_values() {
         let data: Vec<Vec<f64>> = (0..700).map(|i| vec![i as f64]).collect();
         let refs: Vec<&[f64]> = data.iter().map(|v| v.as_slice()).collect();
-        let default_path = map_batch(&refs, |x| x[0].sin());
+        let sequential: Vec<f64> = refs.iter().map(|x| x[0].sin()).collect();
         for threshold in [1, 256, 701, usize::MAX] {
-            assert_eq!(map_batch_at(&refs, threshold, |x| x[0].sin()), default_path);
+            assert_eq!(map_batch_at(&refs, threshold, |x| x[0].sin()), sequential);
             let with_scratch = map_batch_with_at(&refs, threshold, || 0.0f64, |_, x| x[0].sin());
-            assert_eq!(with_scratch, default_path);
+            assert_eq!(with_scratch, sequential);
         }
     }
 }
