@@ -89,31 +89,6 @@ fn decompose_dimension(rows: &[DataPoint], dim: usize) -> Result<InvertedColumn>
     Ok(InvertedColumn { dim, keys, offsets, ids })
 }
 
-/// Merges rows from multiple sources into one dataset with fresh dense ids.
-///
-/// "For each exploration task, UEI stores all needed data in one location,
-/// thus when exploring data that are distributed in multiple locations
-/// (e.g., tables, files), the data needs to be merged before being
-/// utilized in the exploration" (paper §3.1). Rows are concatenated in
-/// source order and re-identified `0..n`; every row must share one
-/// dimensionality.
-pub fn merge_sources(sources: &[Vec<DataPoint>]) -> Result<Vec<DataPoint>> {
-    let dims = sources.iter().flat_map(|s| s.first()).map(|p| p.dims()).next().unwrap_or(0);
-    let mut merged = Vec::with_capacity(sources.iter().map(|s| s.len()).sum());
-    for source in sources {
-        for row in source {
-            if row.values.len() != dims {
-                return Err(UeiError::DimensionMismatch {
-                    expected: dims,
-                    actual: row.values.len(),
-                });
-            }
-            merged.push(DataPoint::new(merged.len() as u64, row.values.clone()));
-        }
-    }
-    Ok(merged)
-}
-
 /// Splits a column's posting lists into chunk-sized runs of entries.
 ///
 /// Each run's *encoded payload* is at least `target_bytes` (except possibly
@@ -283,27 +258,5 @@ mod tests {
         let whole: Vec<Chunk> = cols[1].chunks(usize::MAX).collect::<Result<_>>().unwrap();
         assert_eq!(whole.len(), 1);
         assert_eq!(whole[0].num_ids(), 4);
-    }
-
-    #[test]
-    fn merge_sources_reassigns_dense_ids() {
-        let a = vec![DataPoint::new(10u64, vec![1.0, 2.0]), DataPoint::new(99u64, vec![3.0, 4.0])];
-        let b = vec![DataPoint::new(10u64, vec![5.0, 6.0])]; // id collides with a's
-        let merged = merge_sources(&[a, b]).unwrap();
-        assert_eq!(merged.len(), 3);
-        for (i, row) in merged.iter().enumerate() {
-            assert_eq!(row.id.as_u64(), i as u64, "dense re-identification");
-        }
-        assert_eq!(merged[0].values, vec![1.0, 2.0]);
-        assert_eq!(merged[2].values, vec![5.0, 6.0]);
-    }
-
-    #[test]
-    fn merge_sources_rejects_mixed_dims_and_handles_empty() {
-        assert_eq!(merge_sources(&[]).unwrap(), Vec::new());
-        assert_eq!(merge_sources(&[vec![], vec![]]).unwrap(), Vec::new());
-        let a = vec![DataPoint::new(0u64, vec![1.0])];
-        let b = vec![DataPoint::new(0u64, vec![1.0, 2.0])];
-        assert!(merge_sources(&[a, b]).is_err());
     }
 }

@@ -70,7 +70,6 @@ pub use cache::{
     approx_chunk_bytes, CacheStats, SessionChunkView, SharedChunkCache, DEFAULT_CACHE_SHARDS,
 };
 pub use chunk::{Chunk, ChunkId};
-pub use column::merge_sources;
 pub use fault::{
     FaultConfig, FaultInjector, FaultStats, InjectedWriteFaults, KillMode, RetryPolicy,
 };
