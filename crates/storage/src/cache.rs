@@ -432,7 +432,7 @@ impl SessionChunkView {
 /// `32·entries + 8·ids` although the struct-of-arrays chunk really holds
 /// about `12·entries + 8·ids` (key + `u32` offset per entry). It now
 /// over-estimates; recalibrating it moves `bytes_read_per_iter` and
-/// belongs with the one-memory-budget work (ROADMAP item 5).
+/// belongs with the one-memory-budget work (ROADMAP item 6).
 pub fn approx_chunk_bytes(chunk: &Chunk) -> usize {
     chunk.num_entries() * 32 + chunk.num_ids() * 8
 }

@@ -52,8 +52,10 @@ if [[ "$fast" -eq 0 ]]; then
     ./benchmark/ci_smoke.sh
 fi
 
-# The A/B evidence script takes half an hour a seed, so CI only parses it.
-echo "==> bash -n scripts/ab_compare.sh"
+# The A/B evidence script takes half an hour a seed, so CI only parses it;
+# likewise the line-count script.
+echo "==> bash -n scripts/ab_compare.sh scripts/loc.sh"
 bash -n scripts/ab_compare.sh
+bash -n scripts/loc.sh
 
 echo "CI gate passed."
